@@ -15,8 +15,7 @@ rounds, certifying every rounding error below 0.01.  certify_vector lifts a
 big-complex vector to an exact number-field vector when all components are
 roots of one polynomial (or of a bounded compositum), after which
 integrality and divisibility questions become exact charpoly computations.
-sympy is used only for primitive elements, root isolation, factoring and
-ExactNumberField.charpoly.
+sympy is used only for primitive elements, root isolation and factoring.
 """
 
 from __future__ import annotations

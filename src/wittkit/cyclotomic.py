@@ -19,6 +19,8 @@ from functools import lru_cache
 
 import mpmath
 
+from .errors import UsageError, WittkitError
+
 
 def _factor_prime_powers(n: int) -> list[tuple[int, int]]:
     """[(p, e), ...] with n = prod p^e, ascending p."""
@@ -141,7 +143,8 @@ class CycloContext:
         return out
 
     def pow(self, x: dict, e: int) -> dict:
-        assert e >= 0
+        if e < 0:
+            raise UsageError(f"exponent must be >= 0, got {e}")
         out = self.from_fraction(1)
         base = x
         while e:
@@ -223,7 +226,8 @@ class CycloContext:
                 continue
             if all(self.galois(v, t) == v for v in values):
                 fixed += 1
-        assert self.degree % fixed == 0
+        if self.degree % fixed:
+            raise WittkitError(f"{fixed} fixing automorphisms do not divide the degree {self.degree}")
         return self.degree // fixed
 
 
@@ -276,7 +280,8 @@ def formal_mul(a: dict, b: dict, L: int) -> dict:
 
 
 def formal_pow(a: dict, e: int, L: int) -> dict:
-    assert e >= 0
+    if e < 0:
+        raise UsageError(f"exponent must be >= 0, got {e}")
     out = {0: Fraction(1)}
     base = a
     while e:

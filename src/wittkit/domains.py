@@ -336,20 +336,8 @@ class ExactNumberField:
 
     def charpoly(self, x) -> list[Fraction]:
         """Characteristic polynomial of multiplication by x (monic, ascending)."""
-        from sympy import Matrix, Rational, symbols
-
         cols = self.mul_matrix(x)
-        m = Matrix(
-            self.deg,
-            self.deg,
-            lambda i, j: Rational(cols[j][i].numerator, cols[j][i].denominator),
-        )
-        lam = symbols("lam")
-        cp = m.charpoly(lam).as_expr()
-        from sympy import Poly
-
-        coeffs = Poly(cp, lam).all_coeffs()[::-1]
-        return [Fraction(c.p, c.q) for c in coeffs]
+        return _berkowitz([[cols[j][i] for j in range(self.deg)] for i in range(self.deg)])[::-1]
 
     def is_algebraic_integer(self, x) -> bool:
         return all(c.denominator == 1 for c in self.charpoly(x))
@@ -394,6 +382,28 @@ class ExactNumberField:
 
     def value_from_json(self, data):
         return tuple(Fraction(c) for c in data)
+
+
+def _berkowitz(m: list[list[Fraction]]) -> list[Fraction]:
+    """det(lam*I - m), descending, by Berkowitz's division-free recurrence.
+
+    With R and C the rest of row and column k and A = m[k+1:, k+1:], the
+    charpoly of m[k:, k:] is the lower-triangular Toeplitz matrix with first
+    column 1, -m[k][k], -R*C, -R*A*C, -R*A^2*C, ... times the charpoly of A.
+    """
+    n = len(m)
+    poly = [Fraction(1)]
+    for k in range(n - 1, -1, -1):
+        row, col = m[k][k + 1 :], [m[i][k] for i in range(k + 1, n)]
+        sub = [r[k + 1 :] for r in m[k + 1 :]]
+        toeplitz = [Fraction(1), -m[k][k]]
+        for _ in range(n - k - 1):
+            toeplitz.append(-sum(r * c for r, c in zip(row, col)))
+            col = [sum(a * c for a, c in zip(r, col)) for r in sub]
+        poly = [
+            sum(toeplitz[i - j] * poly[j] for j in range(min(i + 1, len(poly)))) for i in range(len(poly) + 1)
+        ]
+    return poly
 
 
 def _power_basis(nf: ExactNumberField, i: int):

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UsageError
+from .errors import UsageError, WittkitError
 
 RATIONAL_D = 1
 
@@ -123,7 +123,8 @@ class QuadElement:
 
     def norm(self) -> Fraction:
         p = self * self.conj()
-        assert p.y == 0
+        if p.y != 0:
+            raise WittkitError(f"norm of {self} is not rational; field data inconsistent")
         return p.x
 
     def trace(self) -> Fraction:
@@ -301,7 +302,8 @@ def _ideal_from_int_pairs(field: QuadField, pairs: list[tuple[int, int]], den: i
     if field.is_rational:
         a = 0
         for x, y in pairs:
-            assert y == 0
+            if y != 0:
+                raise UsageError("elements of the rational field have no omega part")
             a = math.gcd(a, x)
         if a == 0:
             raise UsageError("zero lattice is not an ideal")
@@ -328,7 +330,8 @@ def principal_ideal(t: QuadElement) -> IdealHNF:
         raise UsageError("zero generates no ideal")
     f = t.field
     if f.is_rational:
-        assert t.y == 0
+        if t.y != 0:
+            raise UsageError("elements of the rational field have no omega part")
         x = abs(t.x)
         return IdealHNF(f, x.numerator, 0, 1, x.denominator)
     return ideal_from_elements(f, [t, t * f.omega()])
@@ -420,6 +423,8 @@ def factor_prime(field: QuadField, p: int) -> tuple[str, list[IdealHNF]]:
     Returns (kind, primes) with kind in split / inert / ramified / rational.
     Split primes come in HNF order.
     """
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise UsageError(f"factor_prime needs a rational prime, got {p}")
     if field.is_rational:
         return "rational", [IdealHNF(field, p, 0, 1)]
     disc = field.disc
@@ -430,7 +435,8 @@ def factor_prime(field: QuadField, p: int) -> tuple[str, list[IdealHNF]]:
         poly = lambda r: (r * r - field.d) % p
     roots = sorted(r for r in range(p) if poly(r) == 0)
     if disc % p == 0:
-        assert len(roots) == 1, (p, roots)
+        if len(roots) != 1:
+            raise WittkitError(f"ramified prime {p} has roots {roots} mod p, expected one")
         return "ramified", [IdealHNF(field, p, (-roots[0]) % p, 1)]
     if p == 2:
         symbol = _kronecker_2(disc)
@@ -438,9 +444,11 @@ def factor_prime(field: QuadField, p: int) -> tuple[str, list[IdealHNF]]:
         symbol = pow(disc % p, (p - 1) // 2, p)
         symbol = -1 if symbol == p - 1 else symbol
     if symbol == -1:
-        assert not roots
+        if roots:
+            raise WittkitError(f"inert prime {p} has roots {roots} mod p, expected none")
         return "inert", [IdealHNF(field, p, 0, p)]
-    assert len(roots) == 2
+    if len(roots) != 2:
+        raise WittkitError(f"split prime {p} has roots {roots} mod p, expected two")
     primes = sorted(((p, (-r) % p, 1) for r in roots))
     return "split", [IdealHNF(field, a, b, c) for a, b, c in primes]
 
@@ -505,7 +513,8 @@ def is_principal(p: IdealHNF):
     if f.is_rational:
         return QuadElement(f, Fraction(p.a, p.den), Fraction(0))
     target = p.norm() * p.den * p.den  # norm of the integral part
-    assert target.denominator == 1
+    if target.denominator != 1:
+        raise WittkitError(f"ideal {p} has a non-integral lattice norm")
     target = int(target)
     # integral part basis (a, 0), (b, c); element u*(a,0) + v*(b,c)
     a, b, c = p.a, p.b, p.c

@@ -5,6 +5,16 @@ t in 1 + f*b^-1 (and t > 0 over Q; imaginary quadratic fields have no real
 places).  The quotient of all integral ideals by this relation is a finite
 commutative monoid whose unit group is the ray class group mod f.
 
+Classes are found by a canonical key, never by pairwise search.  Over Q the
+key of (n) is n mod f.  Otherwise let r be the class-group representative
+of a's ideal class, so that a*conj(r) = (s) for an integral s; the key is
+(class of r, min over units u of the residue of u*s mod f*conj(r)).  It is
+complete: multiplying t - 1 in f*b^-1 by s_b shows that a ~_f b iff
+u*s_a = s_b mod f*conj(r) for some unit u, i.e. iff s_a and s_b lie in one
+unit orbit mod f*conj(r), and the minimum names that orbit.  So classifying
+N ideals costs N keys and N dict lookups; `congruent_mod` stays as the
+pairwise oracle the key is tested against.
+
 Class counts are always computed twice: once by enumerating ideals up to a
 bound and once from the class number formula.  Disagreement raises; it is
 never papered over.
@@ -13,12 +23,13 @@ never papered over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 
 from .errors import InsufficientBoundError, UsageError, WittkitError
 from .qfield import (
     IdealHNF,
     QuadField,
+    class_group,
     class_number,
     enumerate_ideals,
     factor_ideal,
@@ -75,13 +86,62 @@ def phi_ideal(f: IdealHNF) -> int:
     return out
 
 
+def _residue(x: int, y: int, lattice: IdealHNF) -> tuple[int, int]:
+    """x + y*omega modulo an integral lattice (a, b, c), as the numerators of
+    its fractional coordinates in the HNF basis a, b + c*omega."""
+    a, b, c = lattice.a, lattice.b, lattice.c
+    return (x * c - y * b) % (a * c), y % c
+
+
+def _unit_pairs(field: QuadField) -> list[tuple[int, int]]:
+    return [(int(u.x), int(u.y)) for u in field.units()]
+
+
 def _unit_image_size(field: QuadField, f: IdealHNF) -> int:
     """Order of the image of the global units in (O_K/f)^*."""
-    residues: list = []
-    for u in field.units():
-        if not any(f.contains(u - v) for v in residues):
-            residues.append(u)
-    return len(residues)
+    return len({_residue(x, y, f) for x, y in _unit_pairs(field)})
+
+
+def _ray_key(f: IdealHNF):
+    """The canonical key of ~_f on integral ideals (see the module docstring)."""
+    if not f.is_integral():
+        raise UsageError("ray congruence is defined on integral ideals")
+    field = f.field
+    d = field.d
+
+    def check(p: IdealHNF) -> None:
+        if not p.is_integral():
+            raise UsageError("ray congruence is defined on integral ideals")
+        if p.field.d != d:
+            raise UsageError("ideals from different fields")
+
+    if field.is_rational:
+        m = f.a
+
+        def rational_key(p: IdealHNF) -> int:
+            check(p)
+            return p.a % m
+
+        return rational_key
+
+    w_s, w_t = field.omega_s, field.omega_t  # omega^2 = w_s*omega + w_t
+    units = _unit_pairs(field)
+    one = unit_ideal(field)
+    # (conj(r) or None for the unit class, lattice f*conj(r)) per class
+    classes = [(None if r == one else r.conj(), ideal_mul(f, r.conj())) for r in class_group(field)]
+
+    def key(p: IdealHNF) -> tuple:
+        check(p)
+        for i, (rbar, lattice) in enumerate(classes):
+            g = is_principal(p if rbar is None else ideal_mul(p, rbar))
+            if g is not None:
+                x, y = int(g.x), int(g.y)
+                return i, min(
+                    _residue(ux * x + uy * y * w_t, ux * y + uy * x + uy * y * w_s, lattice) for ux, uy in units
+                )
+        raise WittkitError(f"ideal {p} is in no class of the class group; class group data inconsistent")
+
+    return key
 
 
 def ray_class_number(field: QuadField, f: IdealHNF) -> int:
@@ -95,22 +155,15 @@ def ray_class_number(field: QuadField, f: IdealHNF) -> int:
 
 def classify_ideals(f: IdealHNF, ideals: list[IdealHNF]) -> tuple[list[IdealHNF], list[int]]:
     """Partition ideals into ~_f classes; reps keep first-seen order."""
-    field = f.field
+    key = _ray_key(f)
     reps: list[IdealHNF] = []
-    rep_gcds: list[tuple] = []
     labels: list[int] = []
+    index: dict = {}
     for p in ideals:
-        g = ideal_add(p, f).key()
-        hit = -1
-        for i, r in enumerate(reps):
-            if rep_gcds[i] == g and congruent_mod(p, r, f):
-                hit = i
-                break
-        if hit < 0:
+        label = index.setdefault(key(p), len(reps))
+        if label == len(reps):
             reps.append(p)
-            rep_gcds.append(g)
-            hit = len(reps) - 1
-        labels.append(hit)
+        labels.append(label)
     return reps, labels
 
 
@@ -135,11 +188,17 @@ class RayClassMonoid:
     def gcd_of_class(self, i: int) -> IdealHNF:
         return ideal_add(self.reps[i], self.modulus)
 
+    @cached_property
+    def _key_index(self):
+        key = _ray_key(self.modulus)
+        return key, {key(r): i for i, r in enumerate(self.reps)}
+
     def class_of(self, p: IdealHNF) -> int:
-        for i, r in enumerate(self.reps):
-            if congruent_mod(p, r, self.modulus):
-                return i
-        raise WittkitError(f"ideal {p} matches no class; monoid data inconsistent")
+        key, index = self._key_index
+        hit = index.get(key(p))
+        if hit is None:
+            raise WittkitError(f"ideal {p} matches no class; monoid data inconsistent")
+        return hit
 
     def to_json(self) -> dict:
         return {
@@ -195,35 +254,30 @@ def build_drf(field: QuadField, f: IdealHNF, bound: int | None = None) -> RayCla
                 f"{realized} classes with gcd {d} but the formula gives {expected}; "
                 f"enumeration and formula disagree"
             )
-    assert len(reps) == total_expected
+    if len(reps) != total_expected:
+        raise WittkitError(
+            f"{len(reps)} classes but the formula gives {total_expected}; enumeration and formula disagree"
+        )
 
     n = len(reps)
-    gcds = [ideal_add(r, f).key() for r in reps]
+    key = _ray_key(f)
+    index = {key(r): i for i, r in enumerate(reps)}
     table = []
     for i in range(n):
-        row = []
-        for j in range(n):
+        row = [table[j][i] for j in range(i)]  # the monoid is commutative
+        for j in range(i, n):
             prod = ideal_mul(reps[i], reps[j])
-            g = ideal_add(prod, f).key()
-            hit = -1
-            for k in range(n):
-                if gcds[k] == g and congruent_mod(prod, reps[k], f):
-                    hit = k
-                    break
-            if hit < 0:
+            hit = index.get(key(prod))
+            if hit is None:
                 raise InsufficientBoundError(
                     f"product {reps[i]} * {reps[j]} = {prod} matches no class at bound {bound}"
                 )
             row.append(hit)
         table.append(tuple(row))
 
-    identity = None
-    for i, r in enumerate(reps):
-        if r == unit_ideal(field):
-            identity = i
-            break
+    identity = index.get(key(unit_ideal(field)))
     if identity is None:
-        identity = next(i for i in range(n) if congruent_mod(unit_ideal(field), reps[i], f))
+        raise WittkitError("the unit ideal matches no class; monoid data inconsistent")
 
     units = tuple(s for s in range(n) if identity in table[s])
     formula_units = ray_class_number(field, f)

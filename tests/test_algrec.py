@@ -290,6 +290,31 @@ def test_number_field_inverse_reports_reducible_modulus():
         nf.inverse((Fraction(-1), Fraction(1)))
 
 
+NUMBER_FIELDS = [[5, 0, 1], [-1, -1, 1], [-2, 0, 0, 1], [-1, -1, 0, 1], [1, 0, 0, 0, 1], [3, -1, 4, 0, 2]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coeffs=st.sampled_from(NUMBER_FIELDS),
+    elt=st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12), min_size=4, max_size=4),
+)
+def test_charpoly_matches_sympy(coeffs, elt):
+    # sympy's Matrix.charpoly is the oracle here only; the library uses Berkowitz
+    from sympy import Matrix, Poly, Rational, symbols
+
+    with mpmath.workdps(80):
+        root = mpmath.polyroots(coeffs[::-1], maxsteps=200, extraprec=200)[0]
+    nf = ExactNumberField(coeffs, root, 60)
+    x = tuple(elt[: nf.deg])
+    cols = nf.mul_matrix(x)
+    m = Matrix(nf.deg, nf.deg, lambda i, j: Rational(cols[j][i].numerator, cols[j][i].denominator))
+    lam = symbols("lam")
+    expected = [Fraction(c.p, c.q) for c in Poly(m.charpoly(lam).as_expr(), lam).all_coeffs()[::-1]]
+    got = nf.charpoly(x)
+    assert got == expected
+    assert all(isinstance(c, Fraction) for c in got)
+
+
 def test_jhat_integral_across_fields():
     for d in (-1, -3, -7, -15):
         field = make_field(d)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+import pytest
 
 from wittkit.cyclotomic import (
     cyclo_context,
@@ -11,6 +12,7 @@ from wittkit.cyclotomic import (
     formal_scale,
     formal_add,
 )
+from wittkit.errors import UsageError
 
 
 def test_root_relations():
@@ -117,3 +119,11 @@ def test_formal_pow_collapse():
     ctx = cyclo_context(L)
     assert ctx.eval_formal(p3) == ctx.pow(ctx.eval_formal(a), 3)
     assert formal_scale(a, 0) == {}
+
+
+def test_negative_exponents_raise_usage_error():
+    ctx = cyclo_context(6)
+    with pytest.raises(UsageError):
+        ctx.pow(ctx.root(1), -1)
+    with pytest.raises(UsageError):
+        formal_pow({1: Fraction(1)}, -2, 6)

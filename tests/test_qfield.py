@@ -7,6 +7,7 @@ import pytest
 from wittkit.errors import UsageError
 from wittkit.qfield import (
     IdealHNF,
+    QuadElement,
     class_group,
     element,
     enumerate_ideals,
@@ -15,6 +16,7 @@ from wittkit.qfield import (
     ideal_add,
     ideal_div,
     ideal_divisors,
+    ideal_from_elements,
     ideal_from_json,
     ideal_inverse,
     ideal_mul,
@@ -146,6 +148,17 @@ def test_factor_prime_cases():
     assert kind == "inert" and ps[0] == principal_ideal(element(K5, 11))
     kind, ps = factor_prime(Q, 7)
     assert kind == "rational" and ps[0].a == 7
+
+
+def test_caller_input_errors_are_usage_errors():
+    # these were bare asserts, which `python -O` strips
+    with pytest.raises(UsageError):
+        principal_ideal(QuadElement(Q, Fraction(3), Fraction(1)))
+    with pytest.raises(UsageError):
+        ideal_from_elements(Q, [QuadElement(Q, Fraction(2), Fraction(1))])
+    for n in (0, 1, 4, 9, 15):
+        with pytest.raises(UsageError):
+            factor_prime(K1, n)
 
 
 def test_factor_prime_product_up_to_50():

@@ -1,6 +1,9 @@
 import math
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittkit.errors import InsufficientBoundError, UsageError
 from wittkit.qfield import (
@@ -8,13 +11,16 @@ from wittkit.qfield import (
     enumerate_ideals,
     factor_prime,
     ideal_add,
+    ideal_mul,
     make_field,
+    prime_ideals,
     principal_ideal,
     element,
     unit_ideal,
 )
 from wittkit.rayclass import (
     build_drf,
+    classify_ideals,
     congruent_mod,
     drf_projection,
     drf_units,
@@ -198,3 +204,88 @@ def test_gcd_of_class():
     m = build_drf(Q, _qi(6))
     for i, r in enumerate(m.reps):
         assert m.gcd_of_class(i).a == math.gcd(r.a, 6)
+
+
+# ---------------------------------------------------------------------------
+# the canonical-key classifier against the pairwise congruent_mod oracle
+
+PROPERTY_FIELDS = {d: make_field(d) for d in (1, -1, -3, -5, -15)}
+
+
+def _pairwise_classify(f, ideals):
+    reps, labels = [], []
+    for p in ideals:
+        hit = next((i for i, r in enumerate(reps) if congruent_mod(p, r, f)), None)
+        if hit is None:
+            reps.append(p)
+            hit = len(reps) - 1
+        labels.append(hit)
+    return reps, labels
+
+
+@lru_cache(maxsize=None)
+def _ideal_pool(d):
+    field = PROPERTY_FIELDS[d]
+    return enumerate_ideals(field, 200 if field.is_rational else 60)
+
+
+@lru_cache(maxsize=None)
+def _moduli(d):
+    """(n) for n <= 12, then products of up to two primes of norm <= 7."""
+    field = PROPERTY_FIELDS[d]
+    mods = [principal_ideal(element(field, n)) for n in range(1, 13)]
+    primes = prime_ideals(field, 7)
+    mods += primes + [ideal_mul(p, q) for i, p in enumerate(primes) for q in primes[i:]]
+    return list(dict.fromkeys(mods))
+
+
+@lru_cache(maxsize=None)
+def _monoid(f):
+    return build_drf(f.field, f)
+
+
+@st.composite
+def _classification_case(draw, max_norm=None):
+    d = draw(st.sampled_from(sorted(PROPERTY_FIELDS)))
+    mods = [f for f in _moduli(d) if max_norm is None or f.norm() <= max_norm]
+    f = draw(st.sampled_from(mods))
+    ideals = draw(st.lists(st.sampled_from(_ideal_pool(d)), min_size=1, max_size=30))
+    return d, f, ideals
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_classification_case())
+def test_classify_ideals_matches_pairwise_oracle(case):
+    _, f, ideals = case
+    assert classify_ideals(f, ideals) == _pairwise_classify(f, ideals)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_classification_case(max_norm=49), data=st.data())
+def test_drf_table_and_class_of_match_pairwise_oracle(case, data):
+    _, f, ideals = case
+    m = _monoid(f)
+    for a in ideals:
+        assert congruent_mod(a, m.reps[m.class_of(a)], f)
+    for a, b in zip(ideals, ideals[1:]):
+        assert (m.class_of(a) == m.class_of(b)) == congruent_mod(a, b, f)
+    index = st.integers(0, len(m) - 1)
+    for _ in range(5):
+        i, j = data.draw(index), data.draw(index)
+        assert congruent_mod(ideal_mul(m.reps[i], m.reps[j]), m.reps[m.table[i][j]], f)
+    assert congruent_mod(unit_ideal(f.field), m.reps[m.identity], f)
+
+
+def test_classify_ideals_respects_positivity_over_q():
+    # 5 = -1 mod 6, but only positive generators count, so (5) and (1) differ
+    f = _qi(6)
+    assert classify_ideals(f, [_qi(1), _qi(5), _qi(7), _qi(11)]) == ([_qi(1), _qi(5)], [0, 1, 0, 1])
+    m = build_drf(Q, f)
+    assert m.class_of(_qi(5)) != m.class_of(_qi(1)) == m.class_of(_qi(7))
+
+
+def test_classify_ideals_rejects_non_integral_input():
+    with pytest.raises(UsageError):
+        classify_ideals(_qi(6), [IdealHNF(Q, 1, 0, 1, 2)])
+    with pytest.raises(UsageError):
+        classify_ideals(IdealHNF(K5, 3, 1, 1, 2), [unit_ideal(K5)])
