@@ -246,7 +246,7 @@ class ClassPolyReport:
 
 def class_polynomial(d: int, prec: int = 120) -> ClassPolyReport:
     """prod over ideal classes (X - j(a^-1)), rounded and certified (< 0.01)."""
-    from .modular import cm_point, j_invariant
+    from .modular import _j_component
     from .qfield import make_field
 
     field = make_field(d)
@@ -254,7 +254,7 @@ def class_polynomial(d: int, prec: int = 120) -> ClassPolyReport:
         raise UsageError("class polynomials need an imaginary quadratic field")
     reps = class_group(field)
     with mpmath.workdps(prec + 15):
-        roots = [j_invariant(cm_point(a, prec).tau, prec) for a in reps]
+        roots = [_j_component(field.d, a, prec) for a in reps]
         coeffs = [mpmath.mpc(1)]
         for r in roots:
             nxt = [mpmath.mpc(0)] * (len(coeffs) + 1)

@@ -281,8 +281,7 @@ def modularity_check(field: QuadField, level: int, bound: int, prec: int) -> dic
     with mpmath.workdps(prec + 15):
         tol = mpmath.mpf(10) ** -tol_digits
         loose = tol * 10
-    xi_labels = witt.shift_partition(vectors, ideals, tol=tol)
-    xi_loose = witt.shift_partition(vectors, ideals, tol=loose)
+    xi_labels, xi_loose = witt.shift_partitions(vectors, ideals, tol, loose)
     nok = principal_ideal(QuadElement(field, Fraction(level), Fraction(0)))
     _, ray_labels = rayclass.classify_ideals(nok, ideals)
 

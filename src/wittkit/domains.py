@@ -135,17 +135,21 @@ class BigComplex:
 
     def eq_verdict(self, x, y) -> str:
         """'eq', 'ne', or 'ambiguous' when |x-y| sits within one order of tol."""
+        gap = self.gap(x, y)
         with mpmath.workdps(self.workdps):
-            gap = abs(mpmath.mpc(x) - mpmath.mpc(y))
             if gap < self.tol:
                 return "eq"
             if gap < 10 * self.tol:
                 return "ambiguous"
             return "ne"
 
-    def eq_strict(self, x, y, tol) -> bool:
+    def gap(self, x, y):
+        """|x - y| at the working precision."""
         with mpmath.workdps(self.workdps):
-            return abs(mpmath.mpc(x) - mpmath.mpc(y)) < tol
+            return abs(mpmath.mpc(x) - mpmath.mpc(y))
+
+    def eq_strict(self, x, y, tol) -> bool:
+        return self.gap(x, y) < tol
 
     def add(self, x, y):
         with mpmath.workdps(self.workdps):

@@ -120,7 +120,7 @@ def _nterms(im_tau, dps):
 
 
 def _eis_series(t):
-    """(g2, g3, Delta) at a reduced tau, Delta via the eta product."""
+    """(q, g2, g3, Delta) at a reduced tau, Delta via the eta product."""
     q = mpmath.expjpi(2 * t)
     terms = _nterms(t.imag, mpmath.mp.dps)
     e4 = mpmath.mpf(1)
@@ -139,7 +139,49 @@ def _eis_series(t):
     g2 = (4 * pi4 / 3) * e4
     g3 = (8 * pi4 * mpmath.pi**2 / 27) * e6
     delta = (2 * mpmath.pi) ** 12 * q * prod
-    return g2, g3, delta
+    return q, g2, g3, delta
+
+
+@dataclass(slots=True)
+class _Series:
+    """tau reduced by g = (p, q, r, s), the working dps, and the series there.
+
+    `j` is filled on first request, after the Delta and j cross-checks, and
+    `fricke` maps each (index, power) asked for to its value.
+    """
+
+    tred: object
+    g: tuple[int, int, int, int]
+    dps: int
+    q: object
+    g2: object
+    g3: object
+    delta: object
+    j: object = None
+    fricke: dict = dc_field(default_factory=dict)
+
+
+def _series(tau, prec) -> _Series:
+    tred, g, dps = _reduced_with_guard(tau, prec)
+    with mpmath.workdps(dps):
+        return _Series(tred, g, dps, *_eis_series(tred))
+
+
+def _checked_j(ser: _Series, prec):
+    """j = 1728*g2^3/Delta at the reduced tau, with Delta cross-checked
+    against g2^3 - 27*g3^2 and j against the j that difference gives."""
+    if ser.j is None:
+        with mpmath.workdps(ser.dps):
+            d_eis = ser.g2**3 - 27 * ser.g3**2
+            tol = mpmath.mpf(10) ** (-(prec - 10))
+            if abs(d_eis - ser.delta) > abs(ser.delta) * tol:
+                raise PrecisionError("Delta series disagree beyond 10^(-prec+10)")
+            jv = 1728 * ser.g2**3 / ser.delta
+            j2 = 1728 * ser.g2**3 / d_eis
+            if abs(j2 - jv) > (1 + abs(jv)) * tol:
+                raise PrecisionError("j cross-check failed beyond 10^(-prec+10)")
+        ser.j = jv
+    return ser.j
 
 
 def eisenstein(tau, prec: int = DEFAULT_PREC):
@@ -148,27 +190,16 @@ def eisenstein(tau, prec: int = DEFAULT_PREC):
     Delta comes from the eta product and is cross-checked against
     g2^3 - 27*g3^2 to 10^(-prec+10); j = 1728*g2^3/Delta.
     """
-    tred, g, dps = _reduced_with_guard(tau, prec)
-    with mpmath.workdps(dps):
-        g2r, g3r, dr = _eis_series(tred)
-        d_eis = g2r**3 - 27 * g3r**2
-        tol = mpmath.mpf(10) ** (-(prec - 10))
-        if abs(d_eis - dr) > abs(dr) * tol:
-            raise PrecisionError("Delta series disagree beyond 10^(-prec+10)")
-        jv = 1728 * g2r**3 / dr
-        j2 = 1728 * g2r**3 / d_eis
-        if abs(j2 - jv) > (1 + abs(jv)) * tol:
-            raise PrecisionError("j cross-check failed beyond 10^(-prec+10)")
-        _, _, r, s = g
+    ser = _series(tau, prec)
+    jv = _checked_j(ser, prec)
+    with mpmath.workdps(ser.dps):
+        _, _, r, s = ser.g
         w = r * mpmath.mpc(tau) + s
-        g2 = g2r / w**4
-        g3 = g3r / w**6
-        delta = dr / w**12
-        return g2, g3, delta, jv
+        return ser.g2 / w**4, ser.g3 / w**6, ser.delta / w**12, jv
 
 
 def j_invariant(tau, prec: int = DEFAULT_PREC):
-    return eisenstein(tau, prec)[3]
+    return _checked_j(_series(tau, prec), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -251,22 +282,30 @@ def fricke(a, tau, k: int = 1, prec: int = DEFAULT_PREC):
         raise UsageError("a must be nonzero mod Z^2 (the a = 0 member is j)")
     if k not in (1, 2, 3):
         raise UsageError(f"Fricke power must be 1, 2 or 3, got {k}")
-    tred, g, dps = _reduced_with_guard(tau, prec)
-    p, q_, r, s = g
+    return _fricke_at((a1, a2), _series(tau, prec), k)
+
+
+def _fricke_at(a, ser: _Series, k: int):
+    """fricke() on a series already summed; a is a nonzero pair reduced mod 1."""
+    if (a, k) in ser.fricke:
+        return ser.fricke[a, k]
+    a1, a2 = a
+    p, q_, r, s = ser.g
     b1 = (a1 * s - a2 * r) % 1
     b2 = (-a1 * q_ + a2 * p) % 1
-    with mpmath.workdps(dps):
-        g2, g3, delta = _eis_series(tred)
-        z = _frac_mpf(b1) * tred + _frac_mpf(b2)
-        _, u = _reduce_z(z, tred, dps)
-        q = mpmath.expjpi(2 * tred)
-        terms = _nterms(tred.imag, dps) + 2
-        pval = _wp_core(u, q, terms)
+    with mpmath.workdps(ser.dps):
+        z = _frac_mpf(b1) * ser.tred + _frac_mpf(b2)
+        _, u = _reduce_z(z, ser.tred, ser.dps)
+        terms = _nterms(ser.tred.imag, ser.dps) + 2
+        pval = _wp_core(u, ser.q, terms)
         if k == 1:
-            return g2 * g3 / delta * pval
-        if k == 2:
-            return g2**2 / delta * pval**2
-        return g3 / delta * pval**3
+            v = ser.g2 * ser.g3 / ser.delta * pval
+        elif k == 2:
+            v = ser.g2**2 / ser.delta * pval**2
+        else:
+            v = ser.g3 / ser.delta * pval**3
+    ser.fricke[a, k] = v
+    return v
 
 
 def fricke_power(d: int) -> int:
@@ -293,13 +332,13 @@ class CmPoint:
 
 _CM_CACHE: dict = {}
 _LM_CACHE: dict = {}
-_J_CACHE: dict = {}
+_SERIES_CACHE: dict = {}
 
 
 def clear_caches():
     _CM_CACHE.clear()
     _LM_CACHE.clear()
-    _J_CACHE.clear()
+    _SERIES_CACHE.clear()
 
 
 def cm_point(a: IdealHNF, prec: int = DEFAULT_PREC) -> CmPoint:
@@ -530,12 +569,17 @@ def _resolve_power(family: FrickeFamily, d: int) -> int:
     return forced
 
 
-def _j_component(d: int, a: IdealHNF, prec: int):
+def _cm_series(d: int, a: IdealHNF, prec: int) -> _Series:
+    """The series at the CM point of a, summed once per (d, a, prec)."""
     key = (d, a.key(), prec)
-    if key not in _J_CACHE:
-        pt = cm_point(a, prec)
-        _J_CACHE[key] = j_invariant(pt.tau, prec)
-    return _J_CACHE[key]
+    ser = _SERIES_CACHE.get(key)
+    if ser is None:
+        ser = _SERIES_CACHE[key] = _series(cm_point(a, prec).tau, prec)
+    return ser
+
+
+def _j_component(d: int, a: IdealHNF, prec: int):
+    return _checked_j(_cm_series(d, a, prec), prec)
 
 
 def modular_vector(family, field: QuadField, bound: int, prec: int = DEFAULT_PREC) -> WittVector:
@@ -556,7 +600,7 @@ def modular_vector(family, field: QuadField, bound: int, prec: int = DEFAULT_PRE
             if am == (0, 0):
                 values[b] = _j_component(field.d, b, prec)
             else:
-                values[b] = fricke(am, cm_point(b, prec).tau, keff, prec)
+                values[b] = _fricke_at(am, _cm_series(field.d, b, prec), keff)
         elif isinstance(family, CharFamily):
             lm = level_matrix(b, family.N, prec)
             with mpmath.workdps(prec + _GUARD):

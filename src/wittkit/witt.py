@@ -35,11 +35,6 @@ from .qfield import (
     unit_ideal,
 )
 
-try:
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover - gmpy2 is in the default install
-    _mpz = int
-
 
 @lru_cache(maxsize=256)
 def _ideals(field: QuadField, bound: int) -> tuple[IdealHNF, ...]:
@@ -361,7 +356,7 @@ def _kronecker_mul(a: list[int], b: list[int], L: int, M: int) -> list[int]:
     slot_bytes = (L * (M - 1) * (M - 1)).bit_length() // 8 + 1
     pa = int.from_bytes(b"".join(c.to_bytes(slot_bytes, "little") for c in a), "little")
     pb = int.from_bytes(b"".join(c.to_bytes(slot_bytes, "little") for c in b), "little")
-    prod = int(_mpz(pa) * _mpz(pb))
+    prod = pa * pb
     raw = prod.to_bytes((2 * L - 1) * slot_bytes, "little")
     out = [0] * L
     for i in range(2 * L - 1):
@@ -601,8 +596,9 @@ class OrbitMonoid:
         return j_classes(self.table)
 
     def class_of(self, a: IdealHNF) -> int | None:
+        products: dict = {}
         for i, r in enumerate(self.reps):
-            if _shifts_equal(self.vectors, a, r):
+            if _shifts_equal(self.vectors, a, r, products):
                 return i
         return None
 
@@ -622,27 +618,61 @@ class OrbitMonoid:
         }
 
 
-def _shifts_equal(vectors, a: IdealHNF, b: IdealHNF, tol=None) -> bool:
+def _product(products: dict, a: IdealHNF, c: IdealHNF) -> IdealHNF:
+    """a*c through the caller's product table.
+
+    Each caller owns its table for the length of one call, so the products are
+    shared across vectors and pairs but never outlive the call.
+    """
+    key = (a, c)
+    ac = products.get(key)
+    if ac is None:
+        ac = products[key] = ideal_mul(a, c)
+    return ac
+
+
+def _common_ideals(xi: WittVector, a: IdealHNF, b: IdealHNF, na: int, nb: int):
+    common = min(xi.bound // na, xi.bound // nb)
+    if common < 1:
+        raise BoundExhaustedError(
+            f"cannot compare shifts by {ideal_label(a)} and {ideal_label(b)} "
+            f"within bound {xi.bound}"
+        )
+    return _ideals(xi.field, common)
+
+
+def _shifts_equal(vectors, a: IdealHNF, b: IdealHNF, products: dict, tol=None) -> bool:
     """Equality of psi_a and psi_b on every vector, over the comparable bound."""
     if a == b:
         return True
     na, nb = int(a.norm()), int(b.norm())
     for xi in vectors:
-        common = min(xi.bound // na, xi.bound // nb)
-        if common < 1:
-            raise BoundExhaustedError(
-                f"cannot compare shifts by {ideal_label(a)} and {ideal_label(b)} "
-                f"within bound {xi.bound}"
-            )
-        for c in _ideals(xi.field, common):
-            va = xi.value_at(ideal_mul(a, c))
-            vb = xi.value_at(ideal_mul(b, c))
-            if tol is not None and hasattr(xi.domain, "eq_strict"):
-                if not xi.domain.eq_strict(va, vb, tol):
-                    return False
-            elif not xi.domain.eq(va, vb):
+        domain = xi.domain
+        strict = tol is not None and hasattr(domain, "eq_strict")
+        for c in _common_ideals(xi, a, b, na, nb):
+            va = xi.value_at(_product(products, a, c))
+            vb = xi.value_at(_product(products, b, c))
+            if not (domain.eq_strict(va, vb, tol) if strict else domain.eq(va, vb)):
                 return False
     return True
+
+
+def _shift_gap(vectors, a: IdealHNF, b: IdealHNF, products: dict, cap):
+    """Largest component gap between psi_a and psi_b over every vector.
+
+    The scan stops at the first gap >= cap and returns it, so the result is
+    below cap exactly when every gap is.
+    """
+    worst = 0
+    na, nb = int(a.norm()), int(b.norm())
+    for xi in vectors:
+        gap = xi.domain.gap
+        for c in _common_ideals(xi, a, b, na, nb):
+            g = gap(xi.value_at(_product(products, a, c)), xi.value_at(_product(products, b, c)))
+            if g >= cap:
+                return g
+            worst = max(worst, g)
+    return worst
 
 
 def orbit_monoid(vectors: list[WittVector], prime_norm_bound: int) -> OrbitMonoid:
@@ -660,10 +690,11 @@ def orbit_monoid(vectors: list[WittVector], prime_norm_bound: int) -> OrbitMonoi
 
     reps: list[IdealHNF] = [unit_ideal(field)]
     letter_action: list[list[int]] = []
+    products: dict = {}
 
     def locate(cand: IdealHNF) -> int | None:
         for k, r in enumerate(reps):
-            if _shifts_equal(vectors, cand, r):
+            if _shifts_equal(vectors, cand, r, products):
                 return k
         return None
 
@@ -671,7 +702,7 @@ def orbit_monoid(vectors: list[WittVector], prime_norm_bound: int) -> OrbitMonoi
     while i < len(reps):
         row = []
         for p in alphabet:
-            cand = ideal_mul(reps[i], p)
+            cand = _product(products, reps[i], p)
             j = locate(cand)
             if j is None:
                 reps.append(cand)
@@ -684,7 +715,7 @@ def orbit_monoid(vectors: list[WittVector], prime_norm_bound: int) -> OrbitMonoi
     for ri in reps:
         row = []
         for rj in reps:
-            k = locate(ideal_mul(ri, rj))
+            k = locate(_product(products, ri, rj))
             if k is None:
                 raise BoundExhaustedError(
                     f"product {ideal_label(ri)}*{ideal_label(rj)} matches no rep; "
@@ -710,6 +741,28 @@ def dim_x(vectors: list[WittVector], prime_norm_bound: int) -> int:
     return len(orbit_monoid(vectors, prime_norm_bound).reps)
 
 
+class _UnionFind:
+    __slots__ = ("parent",)
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, x: int, y: int) -> None:
+        self.parent[self.find(y)] = self.find(x)
+
+    def labels(self) -> list[int]:
+        """Component labels numbered in order of first appearance."""
+        canon: dict[int, int] = {}
+        return [canon.setdefault(self.find(i), len(canon)) for i in range(len(self.parent))]
+
+
 def shift_partition(vectors: list[WittVector], ideals: list[IdealHNF], tol=None) -> list[int]:
     """Labels for the partition of the given ideals by shift equality.
 
@@ -717,25 +770,41 @@ def shift_partition(vectors: list[WittVector], ideals: list[IdealHNF], tol=None)
     equality that happens to be non-transitive still yields a partition.
     """
     n = len(ideals)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = _UnionFind(n)
+    products: dict = {}
     for i in range(n):
         for j in range(i + 1, n):
-            ri, rj = find(i), find(j)
-            if ri != rj and _shifts_equal(vectors, ideals[i], ideals[j], tol=tol):
-                parent[rj] = ri
-    labels = []
-    canon: dict[int, int] = {}
+            if uf.find(i) == uf.find(j):
+                continue
+            if _shifts_equal(vectors, ideals[i], ideals[j], products, tol=tol):
+                uf.union(i, j)
+    return uf.labels()
+
+
+def shift_partitions(
+    vectors: list[WittVector], ideals: list[IdealHNF], tol, loose
+) -> tuple[list[int], list[int]]:
+    """shift_partition at tol and at loose >= tol, from one pass over the pairs.
+
+    Both partitions are the components of "every component gap < tolerance",
+    so each pair needs one gap scan, capped at loose, or at tol once the pair
+    already shares a loose class; a pair sharing a tol class is skipped.  The
+    vectors' domains must measure gaps (BigComplex.gap).
+    """
+    n = len(ideals)
+    strict, wide = _UnionFind(n), _UnionFind(n)
+    products: dict = {}
     for i in range(n):
-        r = find(i)
-        labels.append(canon.setdefault(r, len(canon)))
-    return labels
+        for j in range(i + 1, n):
+            if strict.find(i) == strict.find(j):
+                continue
+            joined = wide.find(i) == wide.find(j)
+            g = _shift_gap(vectors, ideals[i], ideals[j], products, tol if joined else loose)
+            if g < tol:
+                strict.union(i, j)
+            if g < loose and not joined:
+                wide.union(i, j)
+    return strict.labels(), wide.labels()
 
 
 # ---------------------------------------------------------------------------

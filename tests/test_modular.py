@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from wittkit import rayclass
+from wittkit import modular, rayclass
 from wittkit.errors import UsageError
 from wittkit.modular import (
     Axiom2Report,
@@ -18,6 +18,7 @@ from wittkit.modular import (
     fricke,
     fricke_power,
     j_invariant,
+    level_family_vectors,
     level_matrix,
     modular_vector,
     wp,
@@ -303,3 +304,44 @@ def test_axiom2_j_and_fricke():
 def test_eisenstein_rejects_lower_half_plane():
     with pytest.raises(UsageError):
         eisenstein(mpmath.mpc(0, -1), 40)
+
+
+@pytest.mark.parametrize("d", [-1, -3, -5, -15])
+def test_modular_vector_components_equal_public_functions(d):
+    """The cached series path gives exactly the bits of fricke and j_invariant."""
+    K = make_field(d)
+    prec, bound = 40, 10
+    k = fricke_power(d)
+    modular.clear_caches()
+    for N in (2, 3):
+        families = [JFamily()] + [
+            FrickeFamily((Fraction(i, N), Fraction(j, N)), level=N)
+            for i in range(N)
+            for j in range(N)
+            if (i, j) != (0, 0)
+        ]
+        for fam in families:
+            xi = modular_vector(fam, K, bound, prec)
+            for b in xi.ideals():
+                tau = cm_point(b, prec).tau
+                am = (0, 0)
+                if isinstance(fam, FrickeFamily):
+                    (m11, m12), (m21, m22) = level_matrix(b, N, prec).exact
+                    a1, a2 = fam.a
+                    am = ((a1 * m11 + a2 * m21) % 1, (a1 * m12 + a2 * m22) % 1)
+                if am == (0, 0):
+                    expect = j_invariant(tau, prec)
+                else:
+                    expect = fricke(am, tau, k, prec)
+                assert xi.value_at(b) == expect
+                assert xi.value_at(b)._mpc_ == expect._mpc_
+
+
+def test_clear_caches_empties_every_modular_cache():
+    modular.clear_caches()
+    level_family_vectors(K5, 2, 6, 40)
+    caches = {name: c for name, c in vars(modular).items() if name.endswith("_CACHE")}
+    assert "_SERIES_CACHE" in caches
+    assert all(caches.values()), [name for name, c in caches.items() if not c]
+    modular.clear_caches()
+    assert not any(caches.values()), [name for name, c in caches.items() if c]

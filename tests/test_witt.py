@@ -1,10 +1,15 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wittkit import witt
 from wittkit.cyclotomic import cyclo_context
-from wittkit.domains import ExactCyclotomic
+from wittkit.domains import BigComplex, ExactCyclotomic
 from wittkit.errors import BoundExhaustedError, UsageError
 from wittkit.qfield import IdealHNF, enumerate_ideals, ideal_mul, make_field, unit_ideal
 from wittkit.witt import (
@@ -24,6 +29,7 @@ from wittkit.witt import (
     rho_vector,
     shift,
     shift_partition,
+    shift_partitions,
     zeta_gamma,
     zlinear_combine,
 )
@@ -341,3 +347,116 @@ def test_vector_json():
     assert data["schema"] == "wittkit/vector/1"
     assert len(data["values"]) == len(xi.ideals())
     assert data["domain"] == {"kind": "cyclotomic", "M": 4}
+
+
+def _pairwise_partition(vectors, ideals, tol):
+    """Union-find over pairwise eq_strict comparisons: the oracle for shift_partitions."""
+    parent = list(range(len(ideals)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def shifts_equal(a, b):
+        na, nb = int(a.norm()), int(b.norm())
+        for xi in vectors:
+            for c in enumerate_ideals(xi.field, min(xi.bound // na, xi.bound // nb)):
+                va = xi.value_at(ideal_mul(a, c))
+                vb = xi.value_at(ideal_mul(b, c))
+                if not xi.domain.eq_strict(va, vb, tol):
+                    return False
+        return True
+
+    for i in range(len(ideals)):
+        for j in range(i + 1, len(ideals)):
+            if find(i) != find(j) and shifts_equal(ideals[i], ideals[j]):
+                parent[find(j)] = find(i)
+    labels, canon = [], {}
+    for i in range(len(ideals)):
+        labels.append(canon.setdefault(find(i), len(canon)))
+    return labels
+
+
+_GAP_PREC = 30
+_GAP_BOUND = 16
+
+
+_vector_levels = st.tuples(
+    st.lists(st.sampled_from([0, 8, 18]), min_size=1, max_size=4),
+    st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 1)), min_size=_GAP_BOUND, max_size=_GAP_BOUND
+    ),
+)
+_GAP_STEPS = [Fraction(1, 2), Fraction(11, 20), Fraction(3, 10), Fraction(3), Fraction(19, 4)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    step=st.sampled_from(_GAP_STEPS),
+    levels=st.lists(_vector_levels, min_size=1, max_size=2),
+    n_ideals=st.integers(2, 8),
+)
+def test_shift_partitions_match_two_pairwise_passes(step, levels, n_ideals):
+    """Component n is (base[n mod m] + jitter) * step * tol, so gaps straddle
+    tol and 10*tol, land on them exactly for step 1/2, and chain
+    non-transitively through the jitter."""
+    domain = BigComplex(_GAP_PREC)
+    components = enumerate_ideals(Q, _GAP_BOUND)
+    with mpmath.workdps(domain.workdps):
+        tol = mpmath.mpf(10) ** -(_GAP_PREC // 3)
+        loose = tol * 10
+        unit = tol * step.numerator / step.denominator
+        vectors = []
+        for base, jitter in levels:
+            values = {
+                a: mpmath.mpc(1 + (base[a.a % len(base)] + re) * unit, im * unit)
+                for a, (re, im) in zip(components, jitter)
+            }
+            vectors.append(WittVector(Q, domain, _GAP_BOUND, values=values))
+    ideals = enumerate_ideals(Q, n_ideals)
+    strict, wide = shift_partitions(vectors, ideals, tol, loose)
+    assert strict == _pairwise_partition(vectors, ideals, tol)
+    assert wide == _pairwise_partition(vectors, ideals, loose)
+    assert shift_partition(vectors, ideals, tol=tol) == strict
+
+
+def test_shift_partitions_chain_is_transitive_closure():
+    """Gaps 0.6*tol along a chain of three give one tol class though the ends differ by 1.2*tol."""
+    domain = BigComplex(_GAP_PREC)
+    with mpmath.workdps(domain.workdps):
+        tol = mpmath.mpf(10) ** -(_GAP_PREC // 3)
+        vals = {a: mpmath.mpc(1 + a.a * tol * 6 / 10) for a in enumerate_ideals(Q, 3)}
+    xi = WittVector(Q, domain, 3, values=vals)
+    ideals = enumerate_ideals(Q, 3)
+    assert not domain.eq_strict(vals[ideals[0]], vals[ideals[2]], tol)
+    assert shift_partitions([xi], ideals, tol, tol * 10) == ([0, 0, 0], [0, 0, 0])
+
+
+def _count_products(monkeypatch):
+    calls = Counter()
+    real = witt.ideal_mul
+
+    def counting(a, c):
+        calls[a, c] += 1
+        return real(a, c)
+
+    monkeypatch.setattr(witt, "ideal_mul", counting)
+    return calls
+
+
+def test_shift_products_are_computed_once_per_call(monkeypatch):
+    xi = rho_vector(IdealHNF(K5, 2, 1, 1), 40)
+    ideals = enumerate_ideals(K5, 12)
+    calls = _count_products(monkeypatch)
+    shift_partition([xi], ideals)
+    assert calls and max(calls.values()) == 1
+    calls.clear()
+    monoid = orbit_monoid([xi], 5)
+    assert calls and max(calls.values()) == 1
+    calls.clear()
+    monoid.class_of(ideals[-1])
+    assert calls and max(calls.values()) == 1
+    calls.clear()
+    orbit_monoid([zeta_gamma(6, 1, 60)], 7)
+    assert calls and max(calls.values()) == 1
