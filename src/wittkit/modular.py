@@ -146,8 +146,7 @@ def _eis_series(t):
 class _Series:
     """tau reduced by g = (p, q, r, s), the working dps, and the series there.
 
-    `j` is filled on first request, after the Delta and j cross-checks, and
-    `fricke` maps each (index, power) asked for to its value.
+    `j` is filled on first request, after the Delta and j cross-checks.
     """
 
     tred: object
@@ -158,7 +157,6 @@ class _Series:
     g3: object
     delta: object
     j: object = None
-    fricke: dict = dc_field(default_factory=dict)
 
 
 def _series(tau, prec) -> _Series:
@@ -287,8 +285,6 @@ def fricke(a, tau, k: int = 1, prec: int = DEFAULT_PREC):
 
 def _fricke_at(a, ser: _Series, k: int):
     """fricke() on a series already summed; a is a nonzero pair reduced mod 1."""
-    if (a, k) in ser.fricke:
-        return ser.fricke[a, k]
     a1, a2 = a
     p, q_, r, s = ser.g
     b1 = (a1 * s - a2 * r) % 1
@@ -299,13 +295,10 @@ def _fricke_at(a, ser: _Series, k: int):
         terms = _nterms(ser.tred.imag, ser.dps) + 2
         pval = _wp_core(u, ser.q, terms)
         if k == 1:
-            v = ser.g2 * ser.g3 / ser.delta * pval
-        elif k == 2:
-            v = ser.g2**2 / ser.delta * pval**2
-        else:
-            v = ser.g3 / ser.delta * pval**3
-    ser.fricke[a, k] = v
-    return v
+            return ser.g2 * ser.g3 / ser.delta * pval
+        if k == 2:
+            return ser.g2**2 / ser.delta * pval**2
+        return ser.g3 / ser.delta * pval**3
 
 
 def fricke_power(d: int) -> int:

@@ -641,18 +641,15 @@ def _common_ideals(xi: WittVector, a: IdealHNF, b: IdealHNF, na: int, nb: int):
     return _ideals(xi.field, common)
 
 
-def _shifts_equal(vectors, a: IdealHNF, b: IdealHNF, products: dict, tol=None) -> bool:
+def _shifts_equal(vectors, a: IdealHNF, b: IdealHNF, products: dict) -> bool:
     """Equality of psi_a and psi_b on every vector, over the comparable bound."""
     if a == b:
         return True
     na, nb = int(a.norm()), int(b.norm())
     for xi in vectors:
-        domain = xi.domain
-        strict = tol is not None and hasattr(domain, "eq_strict")
+        eq = xi.domain.eq
         for c in _common_ideals(xi, a, b, na, nb):
-            va = xi.value_at(_product(products, a, c))
-            vb = xi.value_at(_product(products, b, c))
-            if not (domain.eq_strict(va, vb, tol) if strict else domain.eq(va, vb)):
+            if not eq(xi.value_at(_product(products, a, c)), xi.value_at(_product(products, b, c))):
                 return False
     return True
 
@@ -763,11 +760,12 @@ class _UnionFind:
         return [canon.setdefault(self.find(i), len(canon)) for i in range(len(self.parent))]
 
 
-def shift_partition(vectors: list[WittVector], ideals: list[IdealHNF], tol=None) -> list[int]:
-    """Labels for the partition of the given ideals by shift equality.
+def shift_partition(vectors: list[WittVector], ideals: list[IdealHNF]) -> list[int]:
+    """Labels for the partition of the given ideals by the domains' equality.
 
     Pairwise comparisons are merged with union-find, so a tolerance-based
     equality that happens to be non-transitive still yields a partition.
+    shift_partitions takes explicit tolerances.
     """
     n = len(ideals)
     uf = _UnionFind(n)
@@ -776,7 +774,7 @@ def shift_partition(vectors: list[WittVector], ideals: list[IdealHNF], tol=None)
         for j in range(i + 1, n):
             if uf.find(i) == uf.find(j):
                 continue
-            if _shifts_equal(vectors, ideals[i], ideals[j], products, tol=tol):
+            if _shifts_equal(vectors, ideals[i], ideals[j], products):
                 uf.union(i, j)
     return uf.labels()
 
@@ -784,7 +782,7 @@ def shift_partition(vectors: list[WittVector], ideals: list[IdealHNF], tol=None)
 def shift_partitions(
     vectors: list[WittVector], ideals: list[IdealHNF], tol, loose
 ) -> tuple[list[int], list[int]]:
-    """shift_partition at tol and at loose >= tol, from one pass over the pairs.
+    """Partitions by shift equality within tol and within loose >= tol, in one pass.
 
     Both partitions are the components of "every component gap < tolerance",
     so each pair needs one gap scan, capped at loose, or at tol once the pair
