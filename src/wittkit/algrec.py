@@ -243,6 +243,22 @@ class ClassPolyReport:
     rounding_errors: tuple[float, ...]
     j_values: tuple
 
+    def to_json(self) -> dict:
+        with mpmath.workdps(40):
+            j_values = [
+                [mpmath.nstr(mpmath.mpc(v).real, 30), mpmath.nstr(mpmath.mpc(v).imag, 30)]
+                for v in self.j_values
+            ]
+            errors = [mpmath.nstr(mpmath.mpf(e), 5) for e in self.rounding_errors]
+        return {
+            "schema": "wittkit/classpoly/1",
+            "d": self.d,
+            "h": self.h,
+            "poly": self.poly.to_json(),
+            "rounding_errors": errors,
+            "j_values": j_values,
+        }
+
 
 def class_polynomial(d: int, prec: int = 120) -> ClassPolyReport:
     """prod over ideal classes (X - j(a^-1)), rounded and certified (< 0.01)."""
@@ -298,6 +314,16 @@ class CertifyReport:
     all_integral: bool | None
     note: str
     value_polys: list = dc_field(default_factory=list)
+
+    def to_json(self) -> dict:
+        return {
+            "schema": "wittkit/certify/1",
+            "ok": self.ok,
+            "all_integral": self.all_integral,
+            "note": self.note,
+            "poly": self.poly.to_json() if self.poly is not None else None,
+            "value_polys": [p.to_json() for p in self.value_polys] if self.value_polys else [],
+        }
 
 
 def _cluster_values(xi: WittVector):

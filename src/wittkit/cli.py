@@ -1,11 +1,15 @@
-"""Command-line surface tying the modules together.
+"""The `wittkit` command line: argument parsing, I/O and the artifact pipeline.
 
-Subcommands: field (inspect a base field), drf (ray class monoids), witt
-(vector certificates, orbits, moduli, an exploratory cyclic search),
-automata (DFAO export and the state-complexity check), modular (evaluate
-deformation families at CM points), algrec (minimal polynomials, class
-polynomials), check (the modularity desk check), pipeline (cached,
-deterministic artifact sets from a config file).
+This module parses tokens, vector specs and configs (rejecting malformed
+ones as usage errors), calls the library and writes JSON.  Subcommands:
+field (inspect a base field), drf (ray class monoids), witt (vector
+certificates, orbits, moduli, an exploratory cyclic search), automata (DFAO
+export and the state-complexity check), modular (evaluate deformation
+families at CM points), algrec (minimal polynomials, class polynomials),
+check (the modularity desk check, modular.modularity_check), pipeline
+(cached, deterministic artifact sets from a config file; each job returns
+unstamped payloads, and run_pipeline stamps them with the truncation
+parameters and the config hash).
 
 Exit codes: 0 pass, 1 check failed, 2 usage, 3 precision or bound too small.
 """
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -23,17 +28,16 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
-import mpmath
-
 from . import algrec, automata, modular, rayclass, witt
-from .domains import BigComplex, ExactCyclotomic
 from .errors import (
     InsufficientBoundError,
     NoRelationError,
     PrecisionError,
     UsageError,
     WittkitError,
+    require_int,
 )
+from .modular import modularity_check
 from .qfield import (
     IdealHNF,
     QuadElement,
@@ -41,7 +45,6 @@ from .qfield import (
     class_group,
     class_number,
     enumerate_ideals,
-    ideal_add,
     ideal_divisors,
     ideal_from_json,
     make_field,
@@ -142,6 +145,13 @@ def _sha256(obj) -> str:
     return hashlib.sha256(_canonical_bytes(obj)).hexdigest()
 
 
+def _read_json_object(path: str) -> dict:
+    data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise UsageError(f"{path} must hold a JSON object")
+    return data
+
+
 # ---------------------------------------------------------------------------
 # vector specs
 
@@ -150,47 +160,41 @@ _SPEC_KINDS = ("zeta", "zlin", "rho", "modular")
 
 def vector_from_spec(spec: dict) -> witt.WittVector:
     kind = spec.get("kind")
+
+    def need(key):
+        if key not in spec:
+            raise UsageError(f"{kind} specs need a {key!r} field")
+        return spec[key]
+
+    def integer(key, default):
+        return require_int(spec.get(key, default), f"spec field {key!r}")
+
     if kind == "zeta":
-        g = _parse_fraction(str(spec["gamma"]))
-        return witt.zeta_gamma(g.denominator, g.numerator, int(spec.get("bound", 200)))
+        g = _parse_fraction(str(need("gamma")))
+        return witt.zeta_gamma(g.denominator, g.numerator, integer("bound", 200))
     if kind == "zlin":
-        terms = spec.get("terms", [])
-        if not terms:
-            raise UsageError("zlin specs need a nonempty 'terms' list")
+        terms = spec.get("terms")
+        if not terms or not isinstance(terms, list) or not all(
+            isinstance(t, list) and len(t) == 2 for t in terms
+        ):
+            raise UsageError("zlin specs need a nonempty 'terms' list of [coeff, gamma] pairs")
         coeffs = [_parse_fraction(str(c)) for c, _ in terms]
         gammas = [_parse_fraction(str(g)) for _, g in terms]
-        return witt.zlinear_combine(coeffs, gammas, int(spec.get("bound", 200)))
+        return witt.zlinear_combine(coeffs, gammas, integer("bound", 200))
     if kind == "rho":
         field = parse_field(spec.get("d", "Q"))
-        return witt.rho_vector(parse_ideal(field, spec["ideal"]), int(spec.get("bound", 30)))
+        return witt.rho_vector(parse_ideal(field, need("ideal")), integer("bound", 30))
     if kind == "modular":
-        field = parse_field(spec["d"])
+        field = parse_field(need("d"))
         fam = parse_family(field, str(spec.get("family", "j")))
-        return modular.modular_vector(
-            fam, field, int(spec.get("bound", 40)), int(spec.get("prec", 120))
-        )
+        return modular.modular_vector(fam, field, integer("bound", 40), integer("prec", 120))
     raise UsageError(f"unknown vector kind {kind!r}; expected one of {', '.join(_SPEC_KINDS)}")
 
 
-def vector_from_stored(data: dict) -> witt.WittVector:
-    field = make_field(int(data["d"]))
-    dom = data["domain"]
-    if dom["kind"] == "bigcomplex":
-        domain = BigComplex(int(dom["prec"]))
-    elif dom["kind"] == "cyclotomic":
-        domain = ExactCyclotomic(int(dom["M"]))
-    else:
-        raise UsageError("stored vectors with a number-field domain cannot be reloaded")
-    values = {}
-    for ideal_json, vjson in data["values"]:
-        values[ideal_from_json(field, ideal_json)] = domain.value_from_json(vjson)
-    return witt.WittVector(field, domain, int(data["bound"]), values=values)
-
-
 def load_vector(path: str) -> witt.WittVector:
-    data = json.loads(Path(path).read_text())
+    data = _read_json_object(path)
     if data.get("schema") == "wittkit/vector/1":
-        return vector_from_stored(data)
+        return witt.WittVector.from_json(data)
     return vector_from_spec(data)
 
 
@@ -209,7 +213,7 @@ def _domain_prec(xi: witt.WittVector):
 
 
 # ---------------------------------------------------------------------------
-# payload builders shared by subcommands and the pipeline
+# the field report, shared by `field info` and the pipeline
 
 
 def field_info_payload(field: QuadField, prime_bound: int) -> dict:
@@ -223,99 +227,6 @@ def field_info_payload(field: QuadField, prime_bound: int) -> dict:
         "class_group": [witt.ideal_label(r) for r in class_group(field)],
         "n_units": len(field.units()),
         "primes": [witt.ideal_label(p) for p in prime_ideals(field, prime_bound)],
-    }
-
-
-def classpoly_payload(rep: algrec.ClassPolyReport) -> dict:
-    with mpmath.workdps(40):
-        j_values = [
-            [mpmath.nstr(mpmath.mpc(v).real, 30), mpmath.nstr(mpmath.mpc(v).imag, 30)]
-            for v in rep.j_values
-        ]
-        errors = [mpmath.nstr(mpmath.mpf(e), 5) for e in rep.rounding_errors]
-    return {
-        "schema": "wittkit/classpoly/1",
-        "d": rep.d,
-        "h": rep.h,
-        "poly": rep.poly.to_json(),
-        "rounding_errors": errors,
-        "j_values": j_values,
-    }
-
-
-def certify_payload(rep: algrec.CertifyReport) -> dict:
-    return {
-        "schema": "wittkit/certify/1",
-        "ok": rep.ok,
-        "all_integral": rep.all_integral,
-        "note": rep.note,
-        "poly": rep.poly.to_json() if rep.poly is not None else None,
-        "value_polys": [p.to_json() for p in rep.value_polys] if rep.value_polys else [],
-    }
-
-
-def _level_family_names(field: QuadField, level: int) -> list[str]:
-    names = [modular.JFamily().describe()]
-    for i in range(level):
-        for j in range(level):
-            if i == 0 and j == 0:
-                continue
-            fam = modular.FrickeFamily((Fraction(i, level), Fraction(j, level)))
-            names.append(fam.describe())
-    return names
-
-
-def modularity_check(field: QuadField, level: int, bound: int, prec: int) -> dict:
-    """Compare the shift partition of Xi(level) with ray classes mod level*O_K.
-
-    Also verifies that each shift class has a constant gcd with level*O_K,
-    and flags pairs whose verdict flips within one order of the tolerance.
-    """
-    if level < 1:
-        raise UsageError(f"level must be >= 1, got {level}")
-    if field.is_rational:
-        raise UsageError("the desk check runs over imaginary quadratic fields")
-    vectors = modular.level_family_vectors(field, level, bound, prec)
-    ideals = list(enumerate_ideals(field, bound))
-    tol_digits = prec // 3
-    with mpmath.workdps(prec + 15):
-        tol = mpmath.mpf(10) ** -tol_digits
-        loose = tol * 10
-    xi_labels, xi_loose = witt.shift_partitions(vectors, ideals, tol, loose)
-    nok = principal_ideal(QuadElement(field, Fraction(level), Fraction(0)))
-    _, ray_labels = rayclass.classify_ideals(nok, ideals)
-
-    mismatches = []
-    ambiguous = []
-    n = len(ideals)
-    for i in range(n):
-        for j in range(i + 1, n):
-            same_xi = xi_labels[i] == xi_labels[j]
-            if same_xi != (ray_labels[i] == ray_labels[j]) and len(mismatches) < 40:
-                mismatches.append([witt.ideal_label(ideals[i]), witt.ideal_label(ideals[j])])
-            if not same_xi and xi_loose[i] == xi_loose[j] and len(ambiguous) < 40:
-                ambiguous.append([witt.ideal_label(ideals[i]), witt.ideal_label(ideals[j])])
-
-    gcd_by_class: dict[int, set] = {}
-    for a, lab in zip(ideals, xi_labels):
-        gcd_by_class.setdefault(lab, set()).add(ideal_add(a, nok).key())
-    gcd_constant = all(len(s) == 1 for s in gcd_by_class.values())
-
-    partitions_equal = not mismatches
-    return {
-        "schema": "wittkit/modcheck/1",
-        "d": field.d,
-        "level": level,
-        "tolerance": f"1e-{tol_digits}",
-        "n_ideals": n,
-        "families": _level_family_names(field, level),
-        "shift_classes": max(xi_labels) + 1,
-        "ray_classes": max(ray_labels) + 1,
-        "partitions_equal": partitions_equal,
-        "mismatches": mismatches,
-        "ambiguous_pairs": ambiguous,
-        "gcd_constant_per_class": gcd_constant,
-        "passed": partitions_equal and gcd_constant,
     }
 
 
@@ -488,10 +399,7 @@ def cmd_modular_eval(args) -> int:
 
 
 def cmd_algrec_minpoly(args) -> int:
-    data = json.loads(Path(args.value_from).read_text())
-    if data.get("schema") != "wittkit/vector/1":
-        raise UsageError(f"{args.value_from} is not a stored vector")
-    xi = vector_from_stored(data)
+    xi = witt.WittVector.from_json(_read_json_object(args.value_from))
     if xi.domain.kind != "bigcomplex":
         raise UsageError("minpoly reads numeric vectors; this one is exact already")
     target = parse_ideal(xi.field, args.index)
@@ -522,7 +430,7 @@ def cmd_algrec_minpoly(args) -> int:
 
 def cmd_algrec_classpoly(args) -> int:
     rep = algrec.class_polynomial(args.d, args.prec)
-    payload = stamp(classpoly_payload(rep), prec=args.prec)
+    payload = stamp(rep.to_json(), prec=args.prec)
     _emit(payload, args.out)
     return EXIT_PASS
 
@@ -565,6 +473,8 @@ _ALL_JOBS = (
     "certify",
     "check",
 )
+# a JSON artifact with one of these set to false fails the run (exit 1)
+_VERDICT_FLAGS = ("passed", "equal", "ok")
 
 
 @dataclass(frozen=True)
@@ -583,6 +493,15 @@ class RunConfig:
     cache_dir: str | None = None
 
     def validate(self) -> None:
+        for name in ("d", "bound", "prime_norm_bound", "depth", "prec", "level", "dmax"):
+            require_int(getattr(self, name), name)
+        for name in ("modulus", "family", "out_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise UsageError(f"{name} must be a string")
+        if self.cache_dir is not None and not isinstance(self.cache_dir, str):
+            raise UsageError("cache_dir must be a string")
+        if not isinstance(self.jobs, tuple) or not all(isinstance(j, str) for j in self.jobs):
+            raise UsageError("jobs must be a list of job names")
         for name in ("bound", "prime_norm_bound", "prec", "level", "dmax"):
             if getattr(self, name) < 1:
                 raise UsageError(f"{name} must be positive")
@@ -595,38 +514,30 @@ class RunConfig:
             raise UsageError(f"unknown jobs: {', '.join(unknown)}")
 
     def canonical(self) -> dict:
-        """The knobs that affect artifact contents; paths are excluded."""
-        return {
-            "d": self.d,
-            "bound": self.bound,
-            "prime_norm_bound": self.prime_norm_bound,
-            "depth": self.depth,
-            "prec": self.prec,
-            "level": self.level,
-            "modulus": self.modulus,
-            "family": self.family,
-            "dmax": self.dmax,
-        }
+        """The knobs that affect artifact contents: all but the jobs and paths."""
+        skip = ("jobs", "out_dir", "cache_dir")
+        return {k: getattr(self, k) for k in self.__dataclass_fields__ if k not in skip}
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
     data: dict = {}
-    if path is not None:
-        raw = Path(path).read_text()
-        if path.endswith(".toml"):
-            try:
-                import tomllib
-            except ImportError:
-                raise UsageError("TOML configs need Python 3.11+; use a JSON config") from None
-            data = tomllib.loads(raw)
-        else:
-            data = json.loads(raw)
-        data.pop("schema", None)
+    if path is not None and path.endswith(".toml"):
+        try:
+            import tomllib
+        except ImportError:
+            raise UsageError("TOML configs need Python 3.11+; use a JSON config") from None
+        try:
+            data = tomllib.loads(Path(path).read_text())
+        except tomllib.TOMLDecodeError as e:
+            raise UsageError(f"{path}: {e}") from None
+    elif path is not None:
+        data = _read_json_object(path)
+    data.pop("schema", None)
     known = set(RunConfig.__dataclass_fields__)
     unknown = set(data) - known
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    if "jobs" in data:
+    if isinstance(data.get("jobs"), list):
         data["jobs"] = tuple(data["jobs"])
     cfg = RunConfig(**data)
     clean = {k: v for k, v in overrides.items() if v is not None}
@@ -638,68 +549,55 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     return cfg
 
 
-def _json_file(payload: dict) -> dict:
-    return {"type": "json", "data": payload}
-
-
-def _text_file(text: str) -> dict:
-    return {"type": "text", "data": text}
-
-
 def _compute_job(cfg: RunConfig, field: QuadField, job: str, get_vector) -> dict:
-    B, P, depth, prec = cfg.bound, cfg.prime_norm_bound, cfg.depth, cfg.prec
+    """One job's files: an unstamped payload per .json name, text for the rest."""
+    P = cfg.prime_norm_bound
     if job == "field":
-        payload = stamp(field_info_payload(field, P), bound=B, primes=P, depth=depth, prec=prec)
-        return {"field.json": _json_file(payload)}
+        return {"field.json": field_info_payload(field, P)}
     if job == "drf":
-        monoid = rayclass.build_drf(field, parse_ideal(field, cfg.modulus))
-        payload = stamp(
-            monoid.to_json(), bound=monoid.enumeration_bound, primes=P, depth=depth, prec=prec
-        )
-        return {"drf.json": _json_file(payload)}
+        return {"drf.json": rayclass.build_drf(field, parse_ideal(field, cfg.modulus)).to_json()}
     if job == "vector":
         xi = get_vector()
-        payload = stamp(xi.to_json(), bound=B, primes=P, depth=depth, prec=prec)
-        payload["family"] = cfg.family
-        return {"vector.json": _json_file(payload), "vector.csv": _text_file(_vector_csv(xi))}
+        return {"vector.json": {**xi.to_json(), "family": cfg.family}, "vector.csv": _vector_csv(xi)}
     if job == "orbit":
-        monoid = witt.orbit_monoid([get_vector()], P)
-        payload = stamp(monoid.to_json(), bound=B, primes=P, depth=depth, prec=prec)
-        return {"orbit.json": _json_file(payload)}
+        return {"orbit.json": witt.orbit_monoid([get_vector()], P).to_json()}
     if job == "dfao":
         machine = automata.minimize(automata.dfao_from_witt([get_vector()], P))
-        payload = stamp(machine.to_json(), bound=B, primes=P, depth=depth, prec=prec)
-        return {
-            "dfao.json": _json_file(payload),
-            "dfao.dot": _text_file(automata.export_dot(machine)),
-        }
+        return {"dfao.json": machine.to_json(), "dfao.dot": automata.export_dot(machine)}
     if job == "bridy":
-        rep = automata.check_bridy([get_vector()], P)
-        payload = stamp(rep.to_json(), bound=B, primes=P, depth=depth, prec=prec)
-        return {"bridy.json": _json_file(payload)}
+        return {"bridy.json": automata.check_bridy([get_vector()], P).to_json()}
     if job == "components":
-        rep = witt.component_report(get_vector(), P, dmax=cfg.dmax)
-        payload = stamp(rep.to_json(), bound=B, primes=P, depth=depth, prec=prec)
-        return {"components.json": _json_file(payload)}
+        return {"components.json": witt.component_report(get_vector(), P, dmax=cfg.dmax).to_json()}
     if job == "classpoly":
-        payload = stamp(
-            classpoly_payload(algrec.class_polynomial(cfg.d, prec)),
-            bound=B,
-            primes=P,
-            depth=depth,
-            prec=prec,
-        )
-        return {"classpoly.json": _json_file(payload)}
+        return {"classpoly.json": algrec.class_polynomial(cfg.d, cfg.prec).to_json()}
     if job == "certify":
-        rep = algrec.certify_vector(get_vector(), dmax=cfg.dmax)
-        payload = stamp(certify_payload(rep), bound=B, primes=P, depth=depth, prec=prec)
-        return {"certify.json": _json_file(payload)}
+        return {"certify.json": algrec.certify_vector(get_vector(), dmax=cfg.dmax).to_json()}
     if job == "check":
-        payload = stamp(
-            modularity_check(field, cfg.level, B, prec), bound=B, primes=P, depth=depth, prec=prec
-        )
-        return {"check.json": _json_file(payload)}
+        return {"check.json": modularity_check(field, cfg.level, cfg.bound, cfg.prec)}
     raise UsageError(f"unknown job {job!r}")
+
+
+def _stamp_files(cfg: RunConfig, cfg_hash: str, files: dict) -> dict:
+    """Cache entries for one job's files; every JSON payload gets params and the config hash.
+
+    params.bound is the payload's own bound where it reports one (drf's
+    enumeration bound), else the config's.
+    """
+    out = {}
+    for name, data in files.items():
+        if isinstance(data, str):
+            out[name] = {"type": "text", "data": data}
+            continue
+        stamped = stamp(
+            data,
+            bound=data.get("bound", cfg.bound),
+            primes=cfg.prime_norm_bound,
+            depth=cfg.depth,
+            prec=cfg.prec,
+        )
+        stamped["config_sha256"] = cfg_hash
+        out[name] = {"type": "json", "data": stamped}
+    return out
 
 
 def _cache_load(cache_dir: Path, key: str):
@@ -707,8 +605,8 @@ def _cache_load(cache_dir: Path, key: str):
     if not path.exists():
         return None
     data = json.loads(path.read_text())
-    files = data.get("files")
-    if data.get("key") != key or files is None or _sha256(files) != data.get("files_sha256"):
+    files = data.get("files") if isinstance(data, dict) else None
+    if files is None or data.get("key") != key or _sha256(files) != data.get("files_sha256"):
         raise UsageError(f"cache entry {path} fails its checksum; delete the poisoned file")
     return files
 
@@ -730,26 +628,19 @@ def run_pipeline(cfg: RunConfig) -> dict:
     out_root = Path(cfg.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     cache_dir = Path(cfg.cache_dir) if cfg.cache_dir else None
-    cfg_hash = _sha256(cfg.canonical())
+    canonical = cfg.canonical()
+    cfg_hash = _sha256(canonical)
 
-    box: dict = {}
-
-    def get_vector() -> witt.WittVector:
-        if "xi" not in box:
-            fam = parse_family(field, cfg.family)
-            box["xi"] = modular.modular_vector(fam, field, cfg.bound, cfg.prec)
-        return box["xi"]
-
-    hits, misses = [], []
+    get_vector = functools.cache(
+        lambda: modular.modular_vector(parse_family(field, cfg.family), field, cfg.bound, cfg.prec)
+    )
+    hits, misses, failed = [], [], []
     artifacts: dict[str, list[str]] = {}
     for job in cfg.jobs:
-        key = _sha256({"v": 1, "job": job, "config": cfg.canonical()})
+        key = _sha256({"v": 1, "job": job, "config": canonical})
         files = _cache_load(cache_dir, key) if cache_dir else None
         if files is None:
-            files = _compute_job(cfg, field, job, get_vector)
-            for entry in files.values():
-                if entry["type"] == "json":
-                    entry["data"]["config_sha256"] = cfg_hash
+            files = _stamp_files(cfg, cfg_hash, _compute_job(cfg, field, job, get_vector))
             if cache_dir:
                 _cache_store(cache_dir, key, files)
             misses.append(job)
@@ -761,6 +652,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
             path = out_root / rel
             if entry["type"] == "json":
                 path.write_text(json.dumps(entry["data"], sort_keys=True, indent=2) + "\n")
+                failed += [f"{rel}:{f}" for f in _VERDICT_FLAGS if entry["data"].get(f) is False]
             else:
                 path.write_text(entry["data"])
             paths.append(str(path))
@@ -772,37 +664,16 @@ def run_pipeline(cfg: RunConfig) -> dict:
         "artifacts": artifacts,
         "cache_hits": hits,
         "cache_misses": misses,
+        "failed_checks": failed,
     }
 
 
 def cmd_pipeline(args) -> int:
-    overrides = {
-        "d": args.d,
-        "bound": args.bound,
-        "prime_norm_bound": args.primes,
-        "depth": args.depth,
-        "prec": args.prec,
-        "level": args.level,
-        "modulus": args.modulus,
-        "family": args.family,
-        "dmax": args.dmax,
-        "jobs": args.jobs,
-        "out_dir": args.out_dir,
-        "cache_dir": args.cache_dir,
-    }
+    overrides = {name: getattr(args, name) for name in RunConfig.__dataclass_fields__}
     cfg = load_config(args.config, overrides)
     summary = run_pipeline(cfg)
     _emit(summary, args.out)
-    failed = False
-    for paths in summary["artifacts"].values():
-        for p in paths:
-            if not p.endswith(".json"):
-                continue
-            data = json.loads(Path(p).read_text())
-            for flag in ("passed", "equal", "ok"):
-                if data.get(flag) is False:
-                    failed = True
-    return EXIT_CHECK_FAILED if failed else EXIT_PASS
+    return EXIT_CHECK_FAILED if summary["failed_checks"] else EXIT_PASS
 
 
 # ---------------------------------------------------------------------------
@@ -912,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON (or TOML on 3.11+) config file")
     p.add_argument("--d", type=int)
     p.add_argument("--bound", type=int)
-    p.add_argument("--primes", type=int)
+    p.add_argument("--primes", type=int, dest="prime_norm_bound", metavar="PRIMES")
     p.add_argument("--depth", type=int)
     p.add_argument("--prec", type=int)
     p.add_argument("--level", type=int)

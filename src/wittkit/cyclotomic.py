@@ -290,14 +290,3 @@ def formal_pow(a: dict, e: int, L: int) -> dict:
         base = formal_mul(base, base, L) if e > 1 else base
         e >>= 1
     return out
-
-
-def formal_div_coeffs(a: dict, n: int) -> dict | None:
-    """a / n when all coefficients stay integral (a certificate, not a test)."""
-    out = {}
-    for k, c in a.items():
-        q = Fraction(c, n)
-        if q.denominator != 1:
-            return None
-        out[k] = q
-    return out

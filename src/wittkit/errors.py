@@ -9,6 +9,13 @@ class UsageError(WittkitError):
     """Malformed input or an unsupported parameter combination."""
 
 
+def require_int(value, what: str) -> int:
+    """value if it is an int (a bool is not), else a UsageError naming what."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise UsageError(f"{what} must be an integer, got {value!r}")
+
+
 class InsufficientBoundError(WittkitError):
     """An enumeration bound was too small to close a computation.
 

@@ -12,6 +12,10 @@ M2(Z/N)) is evaluated at every integral ideal a of norm <= B by pairing the
 CM point tau of the inverse ideal with the level matrix expressing (tau_K, 1)
 in the chosen lattice basis; the result is a Witt vector with big-complex
 components.
+
+The modularity desk check (modularity_check) partitions the ideals of norm
+<= B by shift equality of the level-N family vectors and compares that
+partition with the ray classes mod N*O_K.
 """
 
 from __future__ import annotations
@@ -31,12 +35,14 @@ from .qfield import (
     QuadField,
     enumerate_ideals,
     factor_prime,
+    ideal_add,
     ideal_inverse,
     ideal_from_elements,
     ideal_pow,
     principal_ideal,
 )
-from .witt import WittVector
+from .rayclass import classify_ideals
+from .witt import WittVector, ideal_label, shift_partitions
 
 DEFAULT_PREC = 120
 _GUARD = 15
@@ -603,16 +609,78 @@ def modular_vector(family, field: QuadField, bound: int, prec: int = DEFAULT_PRE
     return WittVector(field, domain, bound, values=values)
 
 
-def level_family_vectors(field: QuadField, N: int, bound: int, prec: int = DEFAULT_PREC) -> list[WittVector]:
-    """Vectors for every index a in (1/N)Z^2 / Z^2; a = 0 contributes j."""
-    out = [modular_vector(JFamily(), field, bound, prec)]
+def level_families(N: int) -> list:
+    """j, then the Fricke index a for every nonzero a in (1/N)Z^2 / Z^2."""
+    families = [JFamily()]
     for i in range(N):
         for j in range(N):
-            if i == 0 and j == 0:
-                continue
-            fam = FrickeFamily((Fraction(i, N), Fraction(j, N)), level=N)
-            out.append(modular_vector(fam, field, bound, prec))
-    return out
+            if i or j:
+                families.append(FrickeFamily((Fraction(i, N), Fraction(j, N)), level=N))
+    return families
+
+
+def level_family_vectors(field: QuadField, N: int, bound: int, prec: int = DEFAULT_PREC) -> list[WittVector]:
+    """Vectors for every index a in (1/N)Z^2 / Z^2; a = 0 contributes j."""
+    return [modular_vector(fam, field, bound, prec) for fam in level_families(N)]
+
+
+# ---------------------------------------------------------------------------
+# The modularity desk check
+
+
+def modularity_check(field: QuadField, level: int, bound: int, prec: int) -> dict:
+    """Compare the shift partition of Xi(level) with ray classes mod level*O_K.
+
+    Also verifies that each shift class has a constant gcd with level*O_K,
+    and flags pairs whose verdict flips within one order of the tolerance.
+    """
+    if level < 1:
+        raise UsageError(f"level must be >= 1, got {level}")
+    if field.is_rational:
+        raise UsageError("the desk check runs over imaginary quadratic fields")
+    families = level_families(level)
+    vectors = [modular_vector(fam, field, bound, prec) for fam in families]
+    ideals = list(enumerate_ideals(field, bound))
+    tol_digits = prec // 3
+    with mpmath.workdps(prec + 15):
+        tol = mpmath.mpf(10) ** -tol_digits
+        loose = tol * 10
+    xi_labels, xi_loose = shift_partitions(vectors, ideals, tol, loose)
+    nok = principal_ideal(QuadElement(field, Fraction(level), Fraction(0)))
+    _, ray_labels = classify_ideals(nok, ideals)
+
+    mismatches = []
+    ambiguous = []
+    n = len(ideals)
+    for i in range(n):
+        for j in range(i + 1, n):
+            same_xi = xi_labels[i] == xi_labels[j]
+            if same_xi != (ray_labels[i] == ray_labels[j]) and len(mismatches) < 40:
+                mismatches.append([ideal_label(ideals[i]), ideal_label(ideals[j])])
+            if not same_xi and xi_loose[i] == xi_loose[j] and len(ambiguous) < 40:
+                ambiguous.append([ideal_label(ideals[i]), ideal_label(ideals[j])])
+
+    gcd_by_class: dict[int, set] = {}
+    for a, lab in zip(ideals, xi_labels):
+        gcd_by_class.setdefault(lab, set()).add(ideal_add(a, nok).key())
+    gcd_constant = all(len(s) == 1 for s in gcd_by_class.values())
+
+    partitions_equal = not mismatches
+    return {
+        "schema": "wittkit/modcheck/1",
+        "d": field.d,
+        "level": level,
+        "tolerance": f"1e-{tol_digits}",
+        "n_ideals": n,
+        "families": [fam.describe() for fam in families],
+        "shift_classes": max(xi_labels) + 1,
+        "ray_classes": max(ray_labels) + 1,
+        "partitions_equal": partitions_equal,
+        "mismatches": mismatches,
+        "ambiguous_pairs": ambiguous,
+        "gcd_constant_per_class": gcd_constant,
+        "passed": partitions_equal and gcd_constant,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UsageError, WittkitError
+from .errors import UsageError, WittkitError, require_int
 
 RATIONAL_D = 1
 
@@ -295,7 +295,11 @@ def unit_ideal(field: QuadField) -> IdealHNF:
 
 
 def ideal_from_json(field: QuadField, data: dict) -> IdealHNF:
-    return IdealHNF(field, data["a"], data["b"], data["c"], data.get("den", 1))
+    if not isinstance(data, dict) or not {"a", "b", "c"} <= set(data):
+        raise UsageError(f"an ideal object needs keys a, b and c, got {data!r}")
+    coords = (data["a"], data["b"], data["c"], data.get("den", 1))
+    a, b, c, den = (require_int(x, "an ideal coordinate") for x in coords)
+    return IdealHNF(field, a, b, c, den)
 
 
 def _ideal_from_int_pairs(field: QuadField, pairs: list[tuple[int, int]], den: int) -> IdealHNF:

@@ -328,10 +328,3 @@ def drf_projection(src: RayClassMonoid, dst: RayClassMonoid) -> list[int]:
             if mapping[src.table[i][j]] != dst.table[mapping[i]][mapping[j]]:
                 raise WittkitError("projection is not a homomorphism; monoid data inconsistent")
     return mapping
-
-
-def rho_vector(a: IdealHNF, bound: int):
-    """The idempotent vector rho^a: 1 on multiples of a, else 0."""
-    from .witt import rho_vector as _impl
-
-    return _impl(a, bound)

@@ -21,13 +21,20 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import formal_pow, formal_shift
-from .domains import ExactCyclotomic
-from .errors import BoundExhaustedError, InsufficientBoundError, UsageError, WittkitError
+from .cyclotomic import formal_add, formal_mul, formal_pow, formal_scale, formal_shift
+from .domains import BigComplex, ExactCyclotomic
+from .errors import (
+    BoundExhaustedError,
+    InsufficientBoundError,
+    UsageError,
+    WittkitError,
+    require_int,
+)
 from .qfield import (
     IdealHNF,
     QuadField,
     enumerate_ideals,
+    ideal_from_json,
     ideal_mul,
     is_principal,
     make_field,
@@ -105,6 +112,35 @@ class WittVector:
                 [a.to_json(), self.domain.value_to_json(self.value_at(a))] for a in self.ideals()
             ],
         }
+
+    @classmethod
+    def from_json(cls, data: dict) -> "WittVector":
+        """Read back a wittkit/vector/1 object with a cyclotomic or big-complex domain."""
+        if not isinstance(data, dict) or data.get("schema") != "wittkit/vector/1":
+            raise UsageError("not a stored vector (schema wittkit/vector/1)")
+        field = make_field(require_int(data.get("d"), "stored vector d"))
+        dom, values = data.get("domain"), data.get("values")
+        kind = dom.get("kind") if isinstance(dom, dict) else None
+        if kind == "bigcomplex":
+            domain = BigComplex(require_int(dom.get("prec"), "stored domain prec"))
+        elif kind == "cyclotomic":
+            domain = ExactCyclotomic(require_int(dom.get("M"), "stored domain M"))
+        elif kind == "numberfield":
+            raise UsageError("stored vectors with a number-field domain cannot be reloaded")
+        else:
+            raise UsageError(f"unknown stored domain {dom!r}")
+        if not isinstance(values, list) or not all(isinstance(v, list) and len(v) == 2 for v in values):
+            raise UsageError("stored values must be a list of [ideal, value] pairs")
+        vals = {}
+        for ideal_json, vjson in values:
+            try:
+                vals[ideal_from_json(field, ideal_json)] = domain.value_from_json(vjson)
+            except (TypeError, ValueError, IndexError):
+                raise UsageError(f"malformed stored value {vjson!r}") from None
+        xi = cls(field, domain, require_int(data.get("bound"), "stored vector bound"), values=vals)
+        if set(vals) != set(xi.ideals()):
+            raise UsageError(f"stored values do not match the ideals of norm <= {xi.bound}")
+        return xi
 
 
 def constant_vector(field, domain, bound, value) -> WittVector:
@@ -202,14 +238,8 @@ def _pointwise(x: WittVector, y: WittVector, op_name: str) -> WittVector:
         and x.gring_L == y.gring_L
         and op_name != "mul"
     ):
-        g = dict(x.gring)
-        sign = -1 if op_name == "sub" else 1
-        for k, c in y.gring.items():
-            acc = g.get(k, Fraction(0)) + sign * c
-            if acc:
-                g[k] = acc
-            else:
-                g.pop(k, None)
+        yg = formal_scale(y.gring, -1) if op_name == "sub" else y.gring
+        g = formal_add(x.gring, yg)
         return WittVector(x.field, domain, bound, gring=g, gring_L=x.gring_L)
     op = getattr(domain, op_name)
     vals = {a: op(x.value_at(a), y.value_at(a)) for a in _ideals(x.field, bound)}
@@ -228,8 +258,6 @@ def pointwise_mul(x: WittVector, y: WittVector) -> WittVector:
     domain = _same_domain(x, y)
     bound = min(x.bound, y.bound)
     if x.gring is not None and y.gring is not None and x.gring_L == y.gring_L:
-        from .cyclotomic import formal_mul
-
         g = formal_mul(x.gring, y.gring, x.gring_L)
         return WittVector(x.field, domain, bound, gring=g, gring_L=x.gring_L)
     vals = {a: domain.mul(x.value_at(a), y.value_at(a)) for a in _ideals(x.field, bound)}

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittkit import cli, rayclass, witt
 from wittkit.domains import BigComplex
@@ -289,3 +294,175 @@ def test_stored_vector_roundtrip(tmp_path):
     assert back.bound == 60
     for a in back.ideals():
         assert back.domain.eq(back.value_at(a), xi.value_at(a))
+
+
+# ---------------------------------------------------------------------------
+# malformed input is a usage error (exit 2), never a traceback
+
+
+def _run_expecting_usage_error(capsys, *argv):
+    code = cli.main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert err.startswith("error: ")
+
+
+def test_orbit_spec_without_gamma_exits_2(capsys, tmp_path):
+    spec = _write_spec(tmp_path, "s.json", {"kind": "zeta"})
+    _run_expecting_usage_error(capsys, "witt", "orbit", "--vector", spec)
+
+
+def test_orbit_spec_with_string_bound_exits_2(capsys, tmp_path):
+    spec = _write_spec(tmp_path, "s.json", {"kind": "zeta", "gamma": "1/3", "bound": "abc"})
+    _run_expecting_usage_error(capsys, "witt", "orbit", "--vector", spec)
+
+
+def test_orbit_spec_holding_a_list_exits_2(capsys, tmp_path):
+    spec = _write_spec(tmp_path, "s.json", [{"kind": "zeta", "gamma": "1/3"}])
+    _run_expecting_usage_error(capsys, "witt", "orbit", "--vector", spec)
+
+
+def test_pipeline_config_with_string_bound_exits_2(capsys, tmp_path):
+    cfg = _write_spec(tmp_path, "cfg.json", {"d": -5, "bound": "40"})
+    _run_expecting_usage_error(
+        capsys, "pipeline", "--config", cfg, "--out-dir", str(tmp_path / "out")
+    )
+
+
+def test_pipeline_config_with_integer_jobs_exits_2(capsys, tmp_path):
+    cfg = _write_spec(tmp_path, "cfg.json", {"d": -5, "jobs": 5})
+    _run_expecting_usage_error(
+        capsys, "pipeline", "--config", cfg, "--out-dir", str(tmp_path / "out")
+    )
+
+
+def test_pipeline_malformed_toml_config_exits_2(capsys, tmp_path):
+    pytest.importorskip("tomllib")
+    cfg = tmp_path / "cfg.toml"
+    cfg.write_text("d = \n")
+    _run_expecting_usage_error(
+        capsys, "pipeline", "--config", str(cfg), "--out-dir", str(tmp_path / "out")
+    )
+
+
+def test_minpoly_on_malformed_stored_vector_exits_2(capsys, tmp_path):
+    ones = {a: mpmath.mpc(1) for a in enumerate_ideals(K5, 4)}
+    stored = witt.WittVector(K5, BigComplex(60), 4, values=ones).to_json()
+    stored["bound"] = "4"
+    vec = _write_spec(tmp_path, "v.json", stored)
+    _run_expecting_usage_error(
+        capsys, "algrec", "minpoly", "--value-from", vec, "--index", "1"
+    )
+
+
+def test_pipeline_cache_entry_holding_a_list_exits_2(capsys, tmp_path):
+    argv = ["pipeline", "--jobs", "field", "--out-dir", str(tmp_path / "out")]
+    argv += ["--cache-dir", str(tmp_path / "cache")]
+    assert run_cli(capsys, *argv)[0] == 0
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    entry.write_text("[]\n")
+    _run_expecting_usage_error(capsys, *argv)
+
+
+# ---------------------------------------------------------------------------
+# the pipeline's exit 1 path
+
+
+def test_pipeline_exits_1_on_a_failed_check_cold_and_cached(capsys, tmp_path, monkeypatch):
+    real = cli.modularity_check
+    monkeypatch.setattr(cli, "modularity_check", lambda *a: {**real(*a), "passed": False})
+    argv = ["pipeline", "--d", "-5", "--bound", "12", "--prec", "60", "--jobs", "check"]
+    argv += ["--cache-dir", str(tmp_path / "cache")]
+    code, cold = run_cli(capsys, *argv, "--out-dir", str(tmp_path / "cold"))
+    assert code == 1
+    assert cold["cache_misses"] == ["check"] and cold["failed_checks"] == ["check.json:passed"]
+    monkeypatch.undo()
+    code, warm = run_cli(capsys, *argv, "--out-dir", str(tmp_path / "warm"))
+    assert code == 1
+    assert warm["cache_hits"] == ["check"] and warm["failed_checks"] == ["check.json:passed"]
+    assert json.loads((tmp_path / "warm" / "check.json").read_text())["passed"] is False
+
+
+# ---------------------------------------------------------------------------
+# exit codes under fuzzing
+
+_FRACTION_TEXT = st.one_of(
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-7, 7), st.integers(0, 12)),
+    st.sampled_from(["", "abc", "0.5", "x/3", "1/"]),
+)
+_JUNK = st.one_of(st.none(), st.booleans(), st.lists(st.integers(0, 3), max_size=2), st.text(max_size=3))
+_SPECS = st.one_of(
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["zeta", "zlin", "rho", "zeta-ish"])},
+        optional={
+            "gamma": st.one_of(_FRACTION_TEXT, st.integers(-3, 3), _JUNK),
+            "terms": st.one_of(
+                st.lists(st.lists(st.one_of(_FRACTION_TEXT, st.integers(-3, 3)), min_size=2, max_size=2), max_size=3),
+                st.lists(st.lists(st.integers(0, 3), max_size=3), max_size=2),
+                _JUNK,
+            ),
+            "d": st.one_of(st.sampled_from(["Q", -1, -5, -3, 0, 2, -4, "x"]), _JUNK),
+            "ideal": st.one_of(
+                st.sampled_from(["2", "3", "1,1", "2:0:2", "0", "1/2", "1:2", {"a": 2}, {"a": 2, "b": 0, "c": 1}]),
+                st.integers(-2, 12),
+                _JUNK,
+            ),
+            "bound": st.one_of(st.integers(-2, 30), _JUNK),
+        },
+    ),
+    _JUNK,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_SPECS, command=st.sampled_from([("orbit",), ("verify", "--depth", "1"), ("modulus",)]))
+def test_fuzz_vector_specs_exit_codes(spec, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = ["witt", command[0], "--vector", str(path), *command[1:]]
+        if command[0] != "modulus":
+            argv += ["--primes", "7"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+_CONFIGS = st.one_of(
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "d": st.one_of(st.sampled_from([-1, -2, -3, -5, -15, 1, 0, 3, -4]), _JUNK),
+            "bound": st.one_of(st.integers(-1, 40), _JUNK),
+            "prime_norm_bound": st.one_of(st.integers(-1, 30), _JUNK),
+            "depth": st.one_of(st.integers(-1, 3), _JUNK),
+            "prec": st.one_of(st.integers(30, 130), _JUNK),
+            "level": st.one_of(st.integers(-1, 3), _JUNK),
+            "modulus": st.one_of(st.sampled_from(["2", "1,1", "x"]), _JUNK),
+            "family": st.one_of(st.sampled_from(["j", "fricke:1/2,0", "bogus"]), _JUNK),
+            "dmax": st.one_of(st.integers(-1, 8), _JUNK),
+            "jobs": st.one_of(st.lists(st.sampled_from(["field", "drf", "nonsense"]), max_size=2), _JUNK),
+            "schema": st.just("wittkit/config/1"),
+            "frobnicate": _JUNK,
+        },
+    ),
+    _JUNK,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=_CONFIGS)
+def test_fuzz_pipeline_config_exit_codes(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = ["pipeline", "--config", str(path), "--jobs", "field"]
+        argv += ["--out-dir", str(Path(tmp) / "out"), "--cache-dir", str(Path(tmp) / "cache")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -345,3 +345,19 @@ def test_clear_caches_empties_every_modular_cache():
     assert all(caches.values()), [name for name, c in caches.items() if not c]
     modular.clear_caches()
     assert not any(caches.values()), [name for name, c in caches.items() if c]
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_modularity_check_names_the_families_it_compares(level, monkeypatch):
+    compared = []
+    real = modular.modular_vector
+
+    def recording(family, field, bound, prec):
+        compared.append(family.describe())
+        return real(family, field, bound, prec)
+
+    monkeypatch.setattr(modular, "modular_vector", recording)
+    result = modular.modularity_check(K5, level, 6, 60)
+    assert result["families"] == compared
+    assert len(set(compared)) == len(compared) == level * level
+    assert compared[0] == "j"

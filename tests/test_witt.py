@@ -23,6 +23,7 @@ from wittkit.witt import (
     find_modulus,
     is_periodic_mod,
     orbit_monoid,
+    pointwise_add,
     pointwise_mul,
     pointwise_pow,
     pointwise_sub,
@@ -459,3 +460,48 @@ def test_shift_products_are_computed_once_per_call(monkeypatch):
     calls.clear()
     orbit_monoid([zeta_gamma(6, 1, 60)], 7)
     assert calls and max(calls.values()) == 1
+
+
+def test_stored_vector_roundtrip_both_domains():
+    with mpmath.workdps(60):
+        values = {a: mpmath.mpc(int(a.norm()), 1) / 3 for a in enumerate_ideals(K5, 12)}
+    for xi in (zeta_gamma(6, 1, 30), WittVector(K5, BigComplex(40), 12, values=values)):
+        back = WittVector.from_json(xi.to_json())
+        assert back.to_json() == xi.to_json()
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"schema": "wittkit/vector/2"},
+        {"bound": "30"},
+        {"bound": 31},
+        {"d": None},
+        {"domain": {"kind": "cyclotomic"}},
+        {"domain": {"kind": "numberfield", "poly": [1, 0, 1]}},
+        {"domain": "cyclotomic"},
+        {"values": {}},
+        {"values": [[{"a": 1, "b": 0}, []]]},
+        {"values": [[{"a": 1, "b": 0, "c": 1}, [["x"], "1"]]]},
+    ],
+)
+def test_stored_vector_rejects_malformed_data(change):
+    data = {**zeta_gamma(6, 1, 30).to_json(), **change}
+    with pytest.raises(UsageError):
+        WittVector.from_json(data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 11)), min_size=1, max_size=3),
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 11)), min_size=1, max_size=3),
+)
+def test_group_ring_add_sub_match_components(xs, ys):
+    # a 1/12 term in each keeps both presentations at L = 12
+    x = zlinear_combine([1] + [c for c, _ in xs], [Fraction(1, 12)] + [Fraction(k, 12) for _, k in xs], 40)
+    y = zlinear_combine([1] + [c for c, _ in ys], [Fraction(1, 12)] + [Fraction(k, 12) for _, k in ys], 40)
+    for combine, op in ((pointwise_add, x.domain.add), (pointwise_sub, x.domain.sub)):
+        z = combine(x, y)
+        assert z.gring is not None and all(type(c) is Fraction and c for c in z.gring.values())
+        for a in z.ideals():
+            assert z.value_at(a) == op(x.value_at(a), y.value_at(a))
