@@ -608,7 +608,20 @@ def _cache_load(cache_dir: Path, key: str):
     files = data.get("files") if isinstance(data, dict) else None
     if files is None or data.get("key") != key or _sha256(files) != data.get("files_sha256"):
         raise UsageError(f"cache entry {path} fails its checksum; delete the poisoned file")
+    if not isinstance(files, dict) or not all(_is_file_entry(n, e) for n, e in files.items()):
+        raise UsageError(f"cache entry {path} holds a malformed file; delete the poisoned file")
     return files
+
+
+def _is_file_entry(name: str, entry) -> bool:
+    """A bare file name mapped to {"type": "json", "data": <object>} or
+    {"type": "text", "data": <str>}, as _stamp_files writes them."""
+    if Path(name).name != name or name in ("", ".", ".."):
+        return False
+    if not isinstance(entry, dict) or entry.keys() != {"type", "data"}:
+        return False
+    kind, data = entry["type"], entry["data"]
+    return (kind == "json" and isinstance(data, dict)) or (kind == "text" and isinstance(data, str))
 
 
 def _cache_store(cache_dir: Path, key: str, files: dict) -> None:

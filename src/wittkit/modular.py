@@ -1,11 +1,20 @@
 """Modular and elliptic functions at CM points, and the vectors they induce.
 
-Evaluation runs through the q-expansions of E4, E6, Delta and the
-exponential series for the Weierstrass functions.  Before any series is
-summed, tau is moved into the standard fundamental domain by SL2(Z); weight
-factors (for g2, g3, Delta) and the Fricke index a (via f_a(g*tau) =
-f_{a*g}(tau)) are transported along the same matrix, so |q| <= e^(-pi*sqrt(3))
-and term counts stay small at any precision.
+E4, E6 and Delta (hence g2, g3 and j) come from their q-expansions, Delta
+through the eta product so that it can be cross-checked against
+g2^3 - 27*g3^2.  They stay on the q-series because stored j vectors print
+guard digits, so their bits must not move.  The Weierstrass function wp is
+a theta quotient, wp(z) = e3 + (pi*theta2*theta3*theta4(pi*z)/theta1(pi*z))^2
+at nome e^(i*pi*tau): the theta constants are summed once per CM point, and
+each Fricke index there sums only theta1(pi*z) and theta4(pi*z), about 11
+terms at 120 digits where the Lambert series took about 68.  wp' keeps its
+own Lambert series, so the Weierstrass differential equation still compares
+two independently summed paths.
+
+Before any series is summed, tau is moved into the standard fundamental
+domain by SL2(Z); weight factors (for g2, g3, Delta) and the Fricke index a
+(via f_a(g*tau) = f_{a*g}(tau)) are transported along the same matrix, so
+|q| <= e^(-pi*sqrt(3)) and term counts stay small at any precision.
 
 A deformation family (j, a Fricke index, or a characteristic subset of
 M2(Z/N)) is evaluated at every integral ideal a of norm <= B by pairing the
@@ -152,7 +161,8 @@ def _eis_series(t):
 class _Series:
     """tau reduced by g = (p, q, r, s), the working dps, and the series there.
 
-    `j` is filled on first request, after the Delta and j cross-checks.
+    `j` is filled on first request, after the Delta and j cross-checks, and
+    `theta` on the first Fricke request.
     """
 
     tred: object
@@ -163,6 +173,7 @@ class _Series:
     g3: object
     delta: object
     j: object = None
+    theta: _Theta | None = None
 
 
 def _series(tau, prec) -> _Series:
@@ -211,26 +222,94 @@ def j_invariant(tau, prec: int = DEFAULT_PREC):
 
 
 def _reduce_z(z, t, dps):
-    """z modulo Z*t + Z, recentred so |q|^(1/2) <= |e^(2 pi i z)| <= |q|^(-1/2)."""
+    """z modulo Z*t + Z, recentred so |Im z| <= Im(t)/2; returns (z, e^(i pi z))."""
     m = int(mpmath.nint(z.imag / t.imag))
     z = z - m * t
     n = int(mpmath.nint(z.real))
     z = z - n
-    u = mpmath.expjpi(2 * z)
-    if abs(u - 1) < mpmath.mpf(10) ** (-dps + 8):
+    w = mpmath.expjpi(z)
+    if abs(w * w - 1) < mpmath.mpf(10) ** (-dps + 8):
         raise UsageError("z lies in the lattice Z*tau + Z")
-    return z, u
+    return z, w
 
 
-def _wp_core(u, q, terms):
-    acc = mpmath.mpf(1) / 12 + u / (1 - u) ** 2
-    qn = mpmath.mpc(1)
-    for _ in range(terms):
-        qn = qn * q
-        a1 = qn * u
-        a2 = qn / u
-        acc += a1 / (1 - a1) ** 2 + a2 / (1 - a2) ** 2 - 2 * qn / (1 - qn) ** 2
-    return (2 * mpmath.pi * mpmath.mpc(0, 1)) ** 2 * acc
+def _theta_terms(im_tau, dps):
+    """Least n with pi*Im(tau)*(n^2 - 1/4) >= (dps + 8)*ln(10).
+
+    Term j of the theta sums below is at most e^(-pi*Im(tau)*((j-1)^2 - 1)/4)
+    relative to the leading one (for |Im z| <= Im(tau)/2), so j <= 2n
+    suffices.
+    """
+    n = math.ceil(math.sqrt((dps + 8) * math.log(10) / (math.pi * float(im_tau)) + 0.25))
+    if 2 * n + 1 > _TERM_BUDGET:
+        raise PrecisionError(
+            f"theta sums need {2 * n + 1} terms at Im(tau) = {float(im_tau):.3g}; precision unreachable"
+        )
+    return n
+
+
+@dataclass(frozen=True, slots=True)
+class _Theta:
+    """Theta constants at nome qh = e^(i pi tau), tau reduced.
+
+    coef[j] = (-1)^floor(j/2) * qh^floor(j^2/4) for j <= 2n: the even j carry
+    theta3/theta4's qh^(k^2), the odd j theta2/theta1's qh^(k(k+1)).
+    th2 is theta2/qh^(1/4); e3 = -(pi^2/3)*(theta2^4 + theta3^4).
+    """
+
+    coef: tuple
+    th2: object
+    th3: object
+    th4: object
+    e3: object
+
+
+def _theta_constants(t, dps) -> _Theta:
+    """Sum theta2, theta3, theta4 at a reduced tau, checked by Jacobi's identity
+    theta3^4 = theta2^4 + theta4^4 (three independent sums)."""
+    qh = mpmath.expjpi(t)
+    n = _theta_terms(t.imag, dps)
+    p = step = mpmath.mpc(1)
+    coef = [p, p]
+    for j in range(2, 2 * n + 1):
+        if j % 2 == 0:
+            step *= qh
+        p *= step
+        coef.append(-p if j % 4 >= 2 else p)
+    th2 = 2 * (sum(coef[1::4]) - sum(coef[3::4]))
+    th3 = 1 + 2 * (sum(coef[4::4]) - sum(coef[2::4]))
+    th4 = 1 + 2 * sum(coef[2::2])
+    th2_4 = qh * th2**4
+    th3_4 = th3**4
+    if abs(th3_4 - th2_4 - th4**4) > mpmath.mpf(10) ** (-(dps - _GUARD)):
+        raise PrecisionError("theta constants fail Jacobi's identity")
+    return _Theta(tuple(coef), th2, th3, th4, -(mpmath.pi**2 / 3) * (th2_4 + th3_4))
+
+
+def _theta_z(w, coef):
+    """(t1, t4) with theta1(pi z) = -i*qh^(1/4)*t1 and theta4(pi z) = t4, w = e^(i pi z).
+
+    x_j = w^j + (-w)^(-j) follows x_(j+1) = (w - 1/w)*x_j + x_(j-1): the odd
+    x_j are the sine terms of theta1, the even ones the cosine terms of
+    theta4, so each term costs two multiplications.
+    """
+    c = w - 1 / w
+    x0, x1 = 2, c
+    t1, t4 = c, mpmath.mpc(1)
+    for j in range(2, len(coef)):
+        x0, x1 = x1, c * x1 + x0
+        if j % 2:
+            t1 += coef[j] * x1
+        else:
+            t4 += coef[j] * x1
+    return t1, t4
+
+
+def _wp_theta(w, th: _Theta):
+    """wp(z) = e3 + (pi*theta2*theta3*theta4(pi z)/theta1(pi z))^2, w = e^(i pi z)."""
+    t1, t4 = _theta_z(w, th.coef)
+    # theta2/theta1(pi z) = i*th2/t1: the qh^(1/4) factors cancel
+    return th.e3 - (mpmath.pi * th.th2 * th.th3 * t4 / t1) ** 2
 
 
 def _wpp_core(u, q, terms):
@@ -245,28 +324,28 @@ def _wpp_core(u, q, terms):
 
 
 def _wp_setup(z, tau, prec):
+    """Reduced tau, the weight factor r*tau + s, e^(i pi z) for the reduced z, and the dps."""
     tred, g, dps = _reduced_with_guard(tau, prec)
     with mpmath.workdps(dps):
         _, _, r, s = g
-        w = r * mpmath.mpc(tau) + s
-        z2, u = _reduce_z(mpmath.mpc(z) / w, tred, dps)
-        q = mpmath.expjpi(2 * tred)
-        terms = _nterms(tred.imag, dps) + 2
-    return tred, w, u, q, terms, dps
+        scale = r * mpmath.mpc(tau) + s
+        _, w = _reduce_z(mpmath.mpc(z) / scale, tred, dps)
+    return tred, scale, w, dps
 
 
 def wp(z, tau, prec: int = DEFAULT_PREC):
-    """Weierstrass p-function for the lattice Z*tau + Z via the exponential series."""
-    tred, w, u, q, terms, dps = _wp_setup(z, tau, prec)
+    """Weierstrass p-function for the lattice Z*tau + Z, as a theta quotient."""
+    tred, scale, w, dps = _wp_setup(z, tau, prec)
     with mpmath.workdps(dps):
-        return _wp_core(u, q, terms) / w**2
+        return _wp_theta(w, _theta_constants(tred, dps)) / scale**2
 
 
 def wp_prime(z, tau, prec: int = DEFAULT_PREC):
-    """Derivative of wp, summed by its own series (not differenced from wp)."""
-    tred, w, u, q, terms, dps = _wp_setup(z, tau, prec)
+    """Derivative of wp, summed by its own Lambert series (not differenced from wp)."""
+    tred, scale, w, dps = _wp_setup(z, tau, prec)
     with mpmath.workdps(dps):
-        return _wpp_core(u, q, terms) / w**3
+        q = mpmath.expjpi(2 * tred)
+        return _wpp_core(w * w, q, _nterms(tred.imag, dps) + 2) / scale**3
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +376,10 @@ def _fricke_at(a, ser: _Series, k: int):
     b2 = (-a1 * q_ + a2 * p) % 1
     with mpmath.workdps(ser.dps):
         z = _frac_mpf(b1) * ser.tred + _frac_mpf(b2)
-        _, u = _reduce_z(z, ser.tred, ser.dps)
-        terms = _nterms(ser.tred.imag, ser.dps) + 2
-        pval = _wp_core(u, ser.q, terms)
+        _, w = _reduce_z(z, ser.tred, ser.dps)
+        if ser.theta is None:
+            ser.theta = _theta_constants(ser.tred, ser.dps)
+        pval = _wp_theta(w, ser.theta)
         if k == 1:
             return ser.g2 * ser.g3 / ser.delta * pval
         if k == 2:

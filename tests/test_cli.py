@@ -365,6 +365,35 @@ def test_pipeline_cache_entry_holding_a_list_exits_2(capsys, tmp_path):
     _run_expecting_usage_error(capsys, *argv)
 
 
+@pytest.mark.parametrize(
+    "files",
+    [
+        {"field.json": {"type": "blob", "data": 5}},
+        {"field.json": {"type": "text", "data": 5}},
+        {"field.json": {"type": "json", "data": "text"}},
+        {"field.json": {"type": ["json"], "data": {}}},
+        {"field.json": "data"},
+        {"../field.json": {"type": "text", "data": "outside the out dir\n"}},
+        ["field.json"],
+    ],
+)
+def test_pipeline_cache_entry_with_malformed_file_exits_2(capsys, tmp_path, files):
+    """An entry whose checksum matches but whose files are the wrong shape exits 2.
+
+    Before the shape check, the first of these died with a raw TypeError from
+    Path.write_text, and the path one wrote outside the output directory.
+    """
+    argv = ["pipeline", "--jobs", "field", "--out-dir", str(tmp_path / "out")]
+    argv += ["--cache-dir", str(tmp_path / "cache")]
+    assert run_cli(capsys, *argv)[0] == 0
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    data = json.loads(entry.read_text())
+    data["files"] = files
+    data["files_sha256"] = cli._sha256(files)
+    entry.write_text(json.dumps(data))
+    _run_expecting_usage_error(capsys, *argv)
+
+
 # ---------------------------------------------------------------------------
 # the pipeline's exit 1 path
 

@@ -1,11 +1,15 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wittkit import modular, rayclass
-from wittkit.errors import UsageError
+from wittkit.errors import PrecisionError, UsageError
 from wittkit.modular import (
     Axiom2Report,
     CharFamily,
@@ -18,9 +22,11 @@ from wittkit.modular import (
     fricke,
     fricke_power,
     j_invariant,
+    level_families,
     level_family_vectors,
     level_matrix,
     modular_vector,
+    modularity_check,
     wp,
     wp_prime,
 )
@@ -361,3 +367,155 @@ def test_modularity_check_names_the_families_it_compares(level, monkeypatch):
     assert result["families"] == compared
     assert len(set(compared)) == len(compared) == level * level
     assert compared[0] == "j"
+
+
+# ---------------------------------------------------------------------------
+# wp as a theta quotient, against the Lambert series it replaced
+
+
+def _wp_core(u, q, terms):
+    acc = mpmath.mpf(1) / 12 + u / (1 - u) ** 2
+    qn = mpmath.mpc(1)
+    for _ in range(terms):
+        qn = qn * q
+        a1 = qn * u
+        a2 = qn / u
+        acc += a1 / (1 - a1) ** 2 + a2 / (1 - a2) ** 2 - 2 * qn / (1 - qn) ** 2
+    return (2 * mpmath.pi * mpmath.mpc(0, 1)) ** 2 * acc
+
+
+def _wp_lambert(z, tau, prec):
+    """wp by the exponential series, with tau and z reduced as modular.wp reduces them."""
+    tred, g, dps = modular._reduced_with_guard(tau, prec)
+    with mpmath.workdps(dps):
+        _, _, r, s = g
+        scale = r * mpmath.mpc(tau) + s
+        zr, _ = modular._reduce_z(mpmath.mpc(z) / scale, tred, dps)
+        terms = modular._nterms(tred.imag, dps) + 2
+        return _wp_core(mpmath.expjpi(2 * zr), mpmath.expjpi(2 * tred), terms) / scale**2
+
+
+def _assert_wp_matches_lambert(z, tau, prec):
+    with mpmath.workdps(prec + 40):
+        new = wp(z, tau, prec)
+        oracle = _wp_lambert(z, tau, prec)
+        assert abs(new - oracle) <= mpmath.mpf(10) ** -(prec + 5) * (1 + abs(oracle))
+
+
+@st.composite
+def _tau_and_point(draw):
+    """tau in the fundamental domain with Im(tau) <= 3, and z = b1*tau + b2 off the lattice.
+
+    Half the draws take b != 0 in (1/N)Z^2 with N <= 12 (the Fricke points),
+    half take b uniform in [0, 1)^2 at least 0.05 from the lattice.
+    """
+    x = draw(st.floats(-0.5, 0.5))
+    y_min = math.sqrt(1 - x * x)
+    y = y_min + draw(st.floats(0, 1)) * (3 - y_min)
+    if draw(st.booleans()):
+        N = draw(st.integers(2, 12))
+        b = draw(st.tuples(st.integers(0, N - 1), st.integers(0, N - 1)).filter(any))
+        b1, b2 = Fraction(b[0], N), Fraction(b[1], N)
+    else:
+        b1, b2 = draw(st.floats(0, 1, exclude_max=True)), draw(st.floats(0, 1, exclude_max=True))
+    return mpmath.mpc(x, y), b1, b2
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_tau_and_point())
+def test_wp_theta_quotient_matches_lambert_series(case):
+    tau, b1, b2 = case
+    with mpmath.workdps(160):
+        z = modular._frac_mpf(b1) * tau + modular._frac_mpf(b2)
+        assume(all(abs(z - m * tau - n) >= 0.05 for m in range(-1, 3) for n in range(-1, 3)))
+    for prec in (40, 120):
+        _assert_wp_matches_lambert(z, tau, prec)
+
+
+@pytest.mark.parametrize("d", [-1, -2, -3, -5, -7, -11, -15, -23, -35])
+def test_wp_at_cm_points_matches_lambert_series(d):
+    """The Fricke points a*tau for a in (1/3)Z^2 at the CM points of small ideals."""
+    K = make_field(d)
+    for b in enumerate_ideals(K, 6):
+        tau = cm_point(b, 40).tau
+        for fam in level_families(3)[1:]:
+            with mpmath.workdps(80):
+                z = modular._frac_mpf(fam.a[0]) * tau + modular._frac_mpf(fam.a[1])
+            _assert_wp_matches_lambert(z, tau, 40)
+
+
+@pytest.mark.parametrize("tau", [mpmath.mpc(0, 1), mpmath.mpc("0.31", "1.05"), mpmath.mpc("-0.5", "0.8660254"), mpmath.mpc("0.2", "2.9")])
+def test_theta_sums_match_mpmath_jtheta(tau):
+    prec = 120
+    tred, _, dps = modular._reduced_with_guard(tau, prec)
+    with mpmath.workdps(dps):
+        th = modular._theta_constants(tred, dps)
+        qh = mpmath.expjpi(tred)
+        qh4 = mpmath.expjpi(tred / 4)
+        # the sums are good to the working precision, well past prec
+        tol = mpmath.mpf(10) ** -(dps - 5)
+        assert abs(th.th2 * qh4 - mpmath.jtheta(2, 0, qh)) < tol
+        assert abs(th.th3 - mpmath.jtheta(3, 0, qh)) < tol
+        assert abs(th.th4 - mpmath.jtheta(4, 0, qh)) < tol
+        for b1, b2 in [(0, "0.5"), ("0.5", 0), ("0.5", "0.5"), ("0.3", "0.7"), ("-0.45", "0.1")]:
+            z, w = modular._reduce_z(mpmath.mpf(b1) * tred + mpmath.mpf(b2), tred, dps)
+            t1, t4 = modular._theta_z(w, th.coef)
+            theta1 = mpmath.jtheta(1, mpmath.pi * z, qh)
+            theta4 = mpmath.jtheta(4, mpmath.pi * z, qh)
+            assert abs(-1j * qh4 * t1 - theta1) < tol * (1 + abs(theta1))
+            assert abs(t4 - theta4) < tol * (1 + abs(theta4))
+
+
+def test_theta_term_count_is_least_and_budgeted():
+    for im_tau in (math.sqrt(3) / 2, 1.0, 2.2, 3.0):
+        for dps in (57, 140, 400):
+            n = modular._theta_terms(im_tau, dps)
+            need = (dps + 8) * math.log(10)
+            assert math.pi * im_tau * (n * n - 0.25) >= need > math.pi * im_tau * ((n - 1) ** 2 - 0.25)
+    with pytest.raises(PrecisionError):
+        modular._theta_terms(1e-9, 10**6)
+
+
+def test_truncated_theta_sums_fail_jacobi_identity(monkeypatch):
+    monkeypatch.setattr(modular, "_theta_terms", lambda im_tau, dps: 2)
+    with pytest.raises(PrecisionError):
+        wp(mpmath.mpc("0.3", "0.4"), mpmath.mpc("0.1", "1.2"), 60)
+
+
+def test_theta_constants_summed_once_per_cm_point(monkeypatch):
+    calls = Counter()
+    real = modular._theta_constants
+
+    def counting(t, dps):
+        calls[id(t)] += 1
+        return real(t, dps)
+
+    monkeypatch.setattr(modular, "_theta_constants", counting)
+    modular.clear_caches()
+    modular_vector(JFamily(), K5, 20, 60)
+    assert not calls
+    level_family_vectors(K5, 3, 20, 60)
+    filled = [ser for ser in modular._SERIES_CACHE.values() if ser.theta is not None]
+    assert filled and max(calls.values()) == 1
+    assert set(calls) == {id(ser.tred) for ser in filled}
+    modular.clear_caches()
+
+
+@pytest.mark.parametrize("d", [-1, -3, -5])
+def test_level_2_components_agree_across_precisions(d):
+    K = make_field(d)
+    low, high = (level_family_vectors(K, 2, 15, prec) for prec in (60, 100))
+    with mpmath.workdps(120):
+        tol = mpmath.mpf(10) ** -60
+        for xi, eta in zip(low, high):
+            for b in xi.ideals():
+                x = xi.value_at(b)
+                assert abs(x - eta.value_at(b)) <= tol * (1 + abs(x))
+
+
+@pytest.mark.parametrize("d", [-1, -3, -5])
+def test_modularity_check_verdicts_agree_across_precisions(d):
+    K = make_field(d)
+    low, high = (modularity_check(K, 2, 20, prec) for prec in (60, 100))
+    for key in ("shift_classes", "ray_classes", "mismatches", "passed"):
+        assert low[key] == high[key], key
