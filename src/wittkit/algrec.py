@@ -270,7 +270,7 @@ def class_polynomial(d: int, prec: int = 120) -> ClassPolyReport:
         raise UsageError("class polynomials need an imaginary quadratic field")
     reps = class_group(field)
     with mpmath.workdps(prec + 15):
-        roots = [_j_component(field.d, a, prec) for a in reps]
+        roots = [_j_component(a, prec) for a in reps]
         coeffs = [mpmath.mpc(1)]
         for r in roots:
             nxt = [mpmath.mpc(0)] * (len(coeffs) + 1)

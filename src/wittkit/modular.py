@@ -5,7 +5,7 @@ through the eta product so that it can be cross-checked against
 g2^3 - 27*g3^2.  They stay on the q-series because stored j vectors print
 guard digits, so their bits must not move.  The Weierstrass function wp is
 a theta quotient, wp(z) = e3 + (pi*theta2*theta3*theta4(pi*z)/theta1(pi*z))^2
-at nome e^(i*pi*tau): the theta constants are summed once per CM point, and
+at nome e^(i*pi*tau): the theta constants are summed once per series, and
 each Fricke index there sums only theta1(pi*z) and theta4(pi*z), about 11
 terms at 120 digits where the Lambert series took about 68.  wp' keeps its
 own Lambert series, so the Weierstrass differential equation still compares
@@ -20,7 +20,13 @@ A deformation family (j, a Fricke index, or a characteristic subset of
 M2(Z/N)) is evaluated at every integral ideal a of norm <= B by pairing the
 CM point tau of the inverse ideal with the level matrix expressing (tau_K, 1)
 in the chosen lattice basis; the result is a Witt vector with big-complex
-components.
+components.  The ideals a and n*a share a CM point, so the series (with its
+j and theta constants) is summed once per distinct numeric tau and
+precision, keyed by tau's bits: the numeric tau depends on the basis of the
+inverse ideal, not only on the point, so keying by the element w1/w2 of K
+would let the first ideal enumerated decide another's guard digits.  The
+public eisenstein, j_invariant and fricke sum a fresh series on every call
+and serve as the uncached oracle.
 
 The modularity desk check (modularity_check) partitions the ideals of norm
 <= B by shift equality of the level-N family vectors and compares that
@@ -161,8 +167,10 @@ def _eis_series(t):
 class _Series:
     """tau reduced by g = (p, q, r, s), the working dps, and the series there.
 
-    `j` is filled on first request, after the Delta and j cross-checks, and
-    `theta` on the first Fricke request.
+    A pure function of tau's bits and prec, so CM vectors share one per
+    distinct (tau, prec) (see _cm_series).  `j` is filled on first request,
+    after the Delta and j cross-checks, and `theta` on the first Fricke
+    request.
     """
 
     tred: object
@@ -648,17 +656,24 @@ def _resolve_power(family: FrickeFamily, d: int) -> int:
     return forced
 
 
-def _cm_series(d: int, a: IdealHNF, prec: int) -> _Series:
-    """The series at the CM point of a, summed once per (d, a, prec)."""
-    key = (d, a.key(), prec)
+def _cm_series(a: IdealHNF, prec: int) -> _Series:
+    """The series at the CM point of a, summed once per distinct (tau, prec).
+
+    The key is what _series reads, tau's bits and prec, not the element
+    w1/w2 of K: for d = -1 the ideals (5,2,1,1) and (15,6,3,1) both have
+    tau = 3/5 + i/5, but the numeric tau of the second differs in the last
+    bit, so its components must not reuse the first one's series.
+    """
+    tau = cm_point(a, prec).tau
+    key = (tau._mpc_, prec)
     ser = _SERIES_CACHE.get(key)
     if ser is None:
-        ser = _SERIES_CACHE[key] = _series(cm_point(a, prec).tau, prec)
+        ser = _SERIES_CACHE[key] = _series(tau, prec)
     return ser
 
 
-def _j_component(d: int, a: IdealHNF, prec: int):
-    return _checked_j(_cm_series(d, a, prec), prec)
+def _j_component(a: IdealHNF, prec: int):
+    return _checked_j(_cm_series(a, prec), prec)
 
 
 def modular_vector(family, field: QuadField, bound: int, prec: int = DEFAULT_PREC) -> WittVector:
@@ -670,16 +685,16 @@ def modular_vector(family, field: QuadField, bound: int, prec: int = DEFAULT_PRE
     values = {}
     for b in enumerate_ideals(field, bound):
         if isinstance(family, JFamily):
-            values[b] = _j_component(field.d, b, prec)
+            values[b] = _j_component(b, prec)
         elif isinstance(family, FrickeFamily):
             lm = level_matrix(b, family.level, prec)
             (m11, m12), (m21, m22) = lm.exact
             a1, a2 = family.a
             am = ((a1 * m11 + a2 * m21) % 1, (a1 * m12 + a2 * m22) % 1)
             if am == (0, 0):
-                values[b] = _j_component(field.d, b, prec)
+                values[b] = _j_component(b, prec)
             else:
-                values[b] = _fricke_at(am, _cm_series(field.d, b, prec), keff)
+                values[b] = _fricke_at(am, _cm_series(b, prec), keff)
         elif isinstance(family, CharFamily):
             lm = level_matrix(b, family.N, prec)
             with mpmath.workdps(prec + _GUARD):

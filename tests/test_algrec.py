@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from wittkit.algrec import (
 from wittkit.domains import BigComplex, ExactNumberField
 from wittkit.errors import CertificationError, UsageError, WittkitError
 from wittkit.modular import JFamily, modular_vector
-from wittkit.qfield import QuadElement, enumerate_ideals, make_field
+from wittkit.qfield import IdealHNF, QuadElement, enumerate_ideals, make_field, principal_ideal
 from wittkit.witt import WittVector, constant_vector
 
 K5 = make_field(-5)
@@ -321,3 +322,33 @@ def test_jhat_integral_across_fields():
         rep = certify_vector(modular_vector(JFamily(), field, 20, 120), dmax=8)
         assert rep.ok, d
         assert rep.all_integral, d
+
+
+def test_exact_results_do_not_move_with_precision():
+    """Raising the working precision leaves every exact output unchanged."""
+    for d in (-5, -15, -23):
+        assert class_polynomial(d, 120).poly.coeffs == class_polynomial(d, 160).poly.coeffs, d
+    low, high = (certify_vector(modular_vector(JFamily(), K5, 20, prec), dmax=8) for prec in (120, 160))
+    assert low.ok and high.ok
+    assert low.poly.coeffs == high.poly.coeffs
+    assert low.all_integral == high.all_integral
+    assert low.vector.ideals() == high.vector.ideals()
+    for a in low.vector.ideals():
+        assert tuple(low.vector.value_at(a)) == tuple(high.vector.value_at(a)), a
+
+
+def test_minpoly_agrees_with_pslq():
+    """mpmath's PSLQ, an independent relation finder, finds minpoly's relation."""
+    K15 = make_field(-15)
+    j15 = modular_vector(JFamily(), K15, 10, 120).value_at(principal_ideal(K15.one()))
+    j5 = modular_vector(JFamily(), K5, 40, 120)
+    values = [j15] + [j5.value_at(a) for a in (principal_ideal(K5.one()), IdealHNF(K5, 2, 1, 1))]
+    assert abs(values[1] - values[2]) > 1
+    for x in values:
+        poly = minpoly(x, 8, prec=120)
+        assert poly is not None
+        with mpmath.workdps(120):
+            rel = mpmath.pslq([x.real**k for k in range(len(poly.coeffs))], maxcoeff=10**12, maxsteps=10**5)
+        assert rel is not None
+        g = math.gcd(*rel)
+        assert tuple(c // g for c in rel) in (poly.coeffs, tuple(-c for c in poly.coeffs))

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -62,6 +65,20 @@ def test_field_info(capsys):
     assert code == 0
     assert data["class_number"] == 2
     assert data["params"]["prime_norm_bound"] == 10
+
+
+def test_python_dash_m_runs_the_cli_from_a_checkout():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wittkit", "field", "info", "--d", "-5"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["class_number"] == 2
 
 
 def test_drf_build_matches_library(capsys, tmp_path):

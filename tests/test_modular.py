@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -341,6 +342,85 @@ def test_modular_vector_components_equal_public_functions(d):
                     expect = fricke(am, tau, k, prec)
                 assert xi.value_at(b) == expect
                 assert xi.value_at(b)._mpc_ == expect._mpc_
+
+
+def _uncached_component(fam, b, prec, memo):
+    """fam at b from j_invariant or fricke, each summing a fresh series.
+
+    `memo` only saves calling the oracle twice on the same tau bits, index
+    and precision; it never shares a value between different inputs.
+    """
+    tau = cm_point(b, prec).tau
+    am = (0, 0)
+    if isinstance(fam, FrickeFamily):
+        (m11, m12), (m21, m22) = level_matrix(b, fam.level, prec).exact
+        a1, a2 = fam.a
+        am = ((a1 * m11 + a2 * m21) % 1, (a1 * m12 + a2 * m22) % 1)
+    key = (tau._mpc_, am, prec)
+    if key not in memo:
+        if am == (0, 0):
+            memo[key] = j_invariant(tau, prec)
+        else:
+            memo[key] = fricke(am, tau, fricke_power(b.field.d), prec)
+    return memo[key]
+
+
+@pytest.mark.parametrize("d", [-1, -3, -5, -15, -23])
+def test_shared_series_components_equal_uncached_oracle(d):
+    """Ideals with one CM point share a series, yet every component keeps the
+    bits of the uncached public functions.  Both precisions run in one
+    process with no cache clear between them."""
+    K = make_field(d)
+    memo = {}
+    modular.clear_caches()
+    for prec in (60, 120):
+        for N in (1, 2, 3):
+            for fam, xi in zip(level_families(N), level_family_vectors(K, N, 30, prec)):
+                for b in xi.ideals():
+                    expect = _uncached_component(fam, b, prec, memo)
+                    assert xi.value_at(b)._mpc_ == expect._mpc_, (fam, b, prec)
+    modular.clear_caches()
+
+
+def test_same_cm_point_in_k_with_different_tau_bits_keeps_its_own_bits():
+    """(5,2,1,1) and (15,6,3,1) in Q(i) both have tau = 3/5 + i/5 in K, but the
+    numeric tau of the second rounds to a different last bit: a series keyed
+    by the element of K would hand it the first ideal's guard digits."""
+    first, second = IdealHNF(K1, 5, 2, 1, 1), IdealHNF(K1, 15, 6, 3, 1)
+    fam = FrickeFamily((Fraction(1, 3), Fraction(0)), level=3)
+    modular.clear_caches()
+    for prec in (60, 120):
+        p1, p2 = cm_point(first, prec), cm_point(second, prec)
+        assert p1.w1 / p1.w2 == p2.w1 / p2.w2
+        assert p1.tau._mpc_ != p2.tau._mpc_
+        for family in (JFamily(), fam):
+            xi = modular_vector(family, K1, 45, prec)
+            got = [xi.value_at(b)._mpc_ for b in (first, second)]
+            assert got == [_uncached_component(family, b, prec, {})._mpc_ for b in (first, second)]
+            assert got[0] != got[1]
+    modular.clear_caches()
+
+
+def test_series_summed_once_per_distinct_tau(monkeypatch):
+    """A level-2 sweep sums one series per distinct numeric tau, not per ideal,
+    and each shared series passes the Delta and j cross-checks."""
+    summed = []
+    real = modular._eis_series
+
+    def counting(t):
+        summed.append(t)
+        return real(t)
+
+    monkeypatch.setattr(modular, "_eis_series", counting)
+    modular.clear_caches()
+    level_family_vectors(K1, 2, 60, 120)
+    taus = {cm_point(b, 120).tau._mpc_ for b in enumerate_ideals(K1, 60)}
+    assert len(taus) == 29
+    assert len(summed) == len(taus)
+    assert set(modular._SERIES_CACHE) == {(tau, 120) for tau in taus}
+    for ser in modular._SERIES_CACHE.values():
+        assert modular._checked_j(replace(ser, j=None), 120)._mpc_ == ser.j._mpc_
+    modular.clear_caches()
 
 
 def test_clear_caches_empties_every_modular_cache():
