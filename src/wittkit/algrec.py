@@ -380,6 +380,16 @@ def _certify_shared_poly(xi, reps, assign, poly, prec):
         return nf, vec, ""
 
 
+def _evalf_mpc(root, digits: int):
+    """A sympy root evaluated to digits, as an mpc at the working precision.
+
+    The real and imaginary parts go through their decimal strings, which
+    keep every digit; complex() would keep about 16.
+    """
+    re, im = root.evalf(digits).as_real_imag()
+    return mpmath.mpc(mpmath.mpf(str(re)), mpmath.mpf(str(im)))
+
+
 def _certify_compositum(xi, reps, assign, polys, dmax, prec):
     """Distinct minimal polynomials: go through a primitive element."""
     from sympy import CRootOf, Poly, primitive_element
@@ -389,7 +399,7 @@ def _certify_compositum(xi, reps, assign, polys, dmax, prec):
         gens = []
         for v, pc in zip(reps, polys):
             p = Poly([int(c) for c in reversed(pc.coeffs)], _x)
-            rts = [mpmath.mpc(complex(CRootOf(p, i).evalf(prec // 2 + 10))) for i in range(p.degree())]
+            rts = [_evalf_mpc(CRootOf(p, i), prec // 2 + 10) for i in range(p.degree())]
             best = min(range(len(rts)), key=lambda i: abs(rts[i] - v))
             if abs(rts[best] - v) > mpmath.mpf(10) ** (-prec // 4):
                 return None, None, "could not match a value to a root of its polynomial"

@@ -22,7 +22,6 @@ import functools
 import hashlib
 import io
 import json
-import math
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -299,71 +298,17 @@ def cmd_witt_modulus(args) -> int:
     return EXIT_PASS
 
 
-def _cyclic_candidates(max_den: int, coeff_bound: int, limit: int):
-    gammas = sorted(
-        {
-            Fraction(p, q)
-            for q in range(2, max_den + 1)
-            for p in range(1, q)
-            if math.gcd(p, q) == 1
-        }
-    )
-    coeffs = [c for c in range(-coeff_bound, coeff_bound + 1) if c]
-    count = 0
-    for g in gammas:
-        for c in coeffs:
-            yield ((c, g),)
-            count += 1
-            if count >= limit:
-                return
-    for i in range(len(gammas)):
-        for j in range(i + 1, len(gammas)):
-            for c1 in coeffs:
-                for c2 in coeffs:
-                    yield ((c1, gammas[i]), (c2, gammas[j]))
-                    count += 1
-                    if count >= limit:
-                        return
-
-
 def cmd_witt_cyclic_search(args) -> int:
-    """Search small integer combinations of zeta^(gamma) for a target orbit size.
-
-    Exploratory only: hits are reported as found, and nothing is claimed
-    about combinations outside the enumerated window.
-    """
-    hits = []
-    tried = 0
-    for combo in _cyclic_candidates(args.max_den, args.coeff_bound, args.limit):
-        tried += 1
-        xi = witt.zlinear_combine([c for c, _ in combo], [g for _, g in combo], args.bound)
-        try:
-            monoid = witt.orbit_monoid([xi], args.primes)
-        except InsufficientBoundError:
-            continue
-        if len(monoid) == args.target_size:
-            hits.append(
-                {
-                    "terms": [[c, str(g)] for c, g in combo],
-                    "orbit_size": len(monoid),
-                    "reps": [witt.ideal_label(r) for r in monoid.reps],
-                }
-            )
-            if len(hits) >= args.max_hits:
-                break
-    payload = stamp(
-        {
-            "schema": "wittkit/cyclic-search/1",
-            "target_size": args.target_size,
-            "tried": tried,
-            "n_hits": len(hits),
-            "hits": hits,
-            "note": "exploratory search over a finite window; asserts nothing",
-        },
+    payload = witt.cyclic_search(
+        args.target_size,
+        max_den=args.max_den,
+        coeff_bound=args.coeff_bound,
+        limit=args.limit,
+        max_hits=args.max_hits,
         bound=args.bound,
         primes=args.primes,
     )
-    _emit(payload, args.out)
+    _emit(stamp(payload, bound=args.bound, primes=args.primes), args.out)
     return EXIT_PASS
 
 

@@ -62,6 +62,7 @@ class CycloContext:
         self._coord_expansion: list[dict[int, list[tuple[int, int]]]] = [
             {} for _ in self.q
         ]
+        self._roots: dict[int, tuple[tuple[tuple, int], ...]] = {}
 
     def _expand_coord(self, i: int, j: int) -> list[tuple[int, int]]:
         """Reduce zeta_{q_i}^j to the basis range [0, phi(q_i)): [(j', sign)]."""
@@ -81,20 +82,32 @@ class CycloContext:
         cache[j] = out
         return out
 
+    def _root_terms(self, k: int) -> tuple[tuple[tuple, int], ...]:
+        """zeta_L^k's canonical coordinates as (basis tuple, integer) items.
+
+        Memoised per residue k mod L, so evaluation reads the items instead of
+        rebuilding tuples and Fractions for every term.  The items are shared
+        and never handed out: root() copies them into a fresh dict.
+        """
+        k %= self.L
+        items = self._roots.get(k)
+        if items is None:
+            coords = [(k * m) % q for m, q in zip(self.m, self.q)]
+            terms: list[tuple[tuple, int]] = [((), 1)]
+            for i, j in enumerate(coords):
+                exp = self._expand_coord(i, j)
+                terms = [(t + (jj,), s * ss) for t, s in terms for jj, ss in exp]
+            out: dict = {}
+            for t, s in terms:
+                out[t] = out.get(t, 0) + s
+                if not out[t]:
+                    del out[t]
+            items = self._roots[k] = tuple(out.items())
+        return items
+
     def root(self, k: int) -> dict:
-        """zeta_L^k as a canonical element."""
-        coords = [(k * m) % q for m, q in zip(self.m, self.q)]
-        terms: list[tuple[tuple, int]] = [((), 1)]
-        for i, j in enumerate(coords):
-            exp = self._expand_coord(i, j)
-            terms = [(t + (jj,), s * ss) for t, s in terms for jj, ss in exp]
-        out: dict = {}
-        one = Fraction(1)
-        for t, s in terms:
-            out[t] = out.get(t, 0) + s * one
-            if not out[t]:
-                del out[t]
-        return out
+        """zeta_L^k as a canonical element (a fresh dict the caller may change)."""
+        return {t: Fraction(s) for t, s in self._root_terms(k)}
 
     def zero(self) -> dict:
         return {}
@@ -157,8 +170,9 @@ class CycloContext:
     def eval_formal(self, g: dict, n: int = 1) -> dict:
         """Canonical value of a formal sum at scale n: sum c_k zeta_L^(k n)."""
         out: dict = {}
+        L = self.L
         for k, c in g.items():
-            for t, v in self.root((k * n) % self.L).items():
+            for t, v in self._root_terms(k * n % L):
                 s = out.get(t, 0) + c * v
                 if s:
                     out[t] = s

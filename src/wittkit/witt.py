@@ -57,9 +57,16 @@ def ideal_label(a: IdealHNF) -> str:
 
 
 class WittVector:
-    """Map from ideals of norm <= bound to values in a coefficient domain."""
+    """Map from ideals of norm <= bound to values in a coefficient domain.
 
-    __slots__ = ("field", "domain", "bound", "gring", "gring_L", "_values")
+    A group-ring vector's component at (n) depends only on n mod L, so
+    value_at evaluates each residue once and keeps it in _residues: ideals
+    with the same residue share one value dict.  Sharing is safe because no
+    operation mutates a value in place (constant_vector shares one value
+    across every ideal in the same way).
+    """
+
+    __slots__ = ("field", "domain", "bound", "gring", "gring_L", "_values", "_residues")
 
     def __init__(self, field, domain, bound, values=None, gring=None, gring_L=1):
         if bound < 1:
@@ -70,9 +77,12 @@ class WittVector:
         self.gring = gring
         self.gring_L = gring_L
         self._values = dict(values) if values else {}
+        self._residues: dict[int, dict] = {}
         if gring is not None:
             if not field.is_rational:
                 raise UsageError("group-ring presentations exist only over Q")
+            if values:
+                raise UsageError("a group-ring vector takes no stored values")
             if not isinstance(domain, ExactCyclotomic) or domain.M != gring_L:
                 raise UsageError("group-ring exponents must match the cyclotomic domain")
 
@@ -84,12 +94,14 @@ class WittVector:
         return _ideals(self.field, self.bound)
 
     def value_at(self, a: IdealHNF):
-        if a in self._values:
-            return self._values[a]
         if self.gring is None:
+            if a in self._values:
+                return self._values[a]
             raise WittkitError(f"vector has no value at {ideal_label(a)}")
-        v = self.domain.ctx.eval_formal(self.gring, a.a)
-        self._values[a] = v
+        r = a.a % self.gring_L
+        v = self._residues.get(r)
+        if v is None:
+            v = self._residues[r] = self.domain.ctx.eval_formal(self.gring, r)
         return v
 
     def values_list(self) -> list:
@@ -377,37 +389,62 @@ def _mod_psi(g: _ModGring, p: int) -> list[int]:
 def _kronecker_mul(a: list[int], b: list[int], L: int, M: int) -> list[int]:
     """Circular convolution mod x^L - 1 with coefficients mod M.
 
-    Coefficients are packed into byte-aligned slots of one big integer so the
-    convolution rides on big-int multiplication.  Slot width is chosen so
-    column sums cannot overflow: L * (M-1)^2 < 256^slot_bytes.
+    Coefficients in [0, M) are packed into byte-aligned slots of one big
+    integer so the convolution rides on big-int multiplication; a is b packs
+    once.  Slot width: L * (M-1)^2 < 256^slot_bytes.
+
+    Folding invariant.  Slot i of the product holds linear coefficient i,
+    0 <= i <= 2L-2.  Circular coefficient j is linear coefficient j plus
+    linear coefficient j+L: a sum of exactly L products, each at most
+    (M-1)^2, so it fits one slot.  Hence (prod & mask) + (prod >> L*slot_bits)
+    adds the high L-1 slots onto the low L with no carry between slots, and
+    only L slots are unpacked.
     """
     slot_bytes = (L * (M - 1) * (M - 1)).bit_length() // 8 + 1
-    pa = int.from_bytes(b"".join(c.to_bytes(slot_bytes, "little") for c in a), "little")
-    pb = int.from_bytes(b"".join(c.to_bytes(slot_bytes, "little") for c in b), "little")
-    prod = pa * pb
-    raw = prod.to_bytes((2 * L - 1) * slot_bytes, "little")
-    out = [0] * L
-    for i in range(2 * L - 1):
-        c = int.from_bytes(raw[i * slot_bytes : (i + 1) * slot_bytes], "little")
-        if c:
-            j = i % L
-            out[j] = (out[j] + c) % M
-    return out
+
+    def pack(v: list[int]) -> int:
+        return int.from_bytes(b"".join([c.to_bytes(slot_bytes, "little") for c in v]), "little")
+
+    pa = pack(a)
+    prod = pa * (pa if a is b else pack(b))
+    width = L * slot_bytes
+    shift_bits = 8 * width
+    raw = ((prod & ((1 << shift_bits) - 1)) + (prod >> shift_bits)).to_bytes(width, "little")
+    return [
+        int.from_bytes(raw[i : i + slot_bytes], "little") % M for i in range(0, width, slot_bytes)
+    ]
 
 
-def _mod_pow(g: _ModGring, e: int) -> list[int]:
-    out = None
-    base = g.arr
-    while e:
-        if e & 1:
-            out = base if out is None else _kronecker_mul(out, base, g.L, g.modulus)
-        e >>= 1
-        if e:
-            base = _kronecker_mul(base, base, g.L, g.modulus)
-    if out is None:
-        out = [0] * g.L
-        out[0] = 1 % g.modulus
-    return out
+def _chain_powers(g: _ModGring, norms) -> dict[int, list[int]]:
+    """g^p for every p in norms, walking the sorted norms once.
+
+    g^(p_i) = g^(p_(i-1)) * g^(p_i - p_(i-1)), with the gap powers memoised
+    for this g, each built from the memo by one squaring and at most one
+    multiplication by g.  Over Q with primes <= 13 (gaps 2, 1, 2, 2, 4, 2)
+    that is 7 products in place of 20 for separate square-and-multiply
+    powers.  Z/M[x]/(x^L - 1) is exact, so the powers are the same lists.
+    """
+    L, M, base = g.L, g.modulus, g.arr
+    gaps = {1: base}
+
+    def gap_pow(e: int) -> list[int]:
+        out = gaps.get(e)
+        if out is None:
+            half = gap_pow(e // 2)
+            out = _kronecker_mul(half, half, L, M)
+            if e & 1:
+                out = _kronecker_mul(out, base, L, M)
+            gaps[e] = out
+        return out
+
+    powers: dict[int, list[int]] = {}
+    prev_e, prev = 0, None
+    for p in sorted(set(norms)):
+        step = gap_pow(p - prev_e)
+        prev = step if prev is None else _kronecker_mul(prev, step, L, M)
+        prev_e = p
+        powers[p] = prev
+    return powers
 
 
 def check_un(xi: WittVector, depth: int, prime_norm_bound: int) -> UnReport:
@@ -494,13 +531,14 @@ def _rec_modular(mg: _ModGring, n: int, path, steps, R, entries, stats) -> bool:
         return True
     stats["certificate_levels"] += 1
     ok = True
+    powers = _chain_powers(mg, [np_ for _, np_, _, _ in steps])
     for _, np_, _, label in steps:
         if mg.bound // np_ < 1:
             raise BoundExhaustedError(
                 f"bound {mg.bound} cannot support a shift by {label} at path {path}"
             )
         shifted = _mod_psi(mg, np_)
-        powed = _mod_pow(mg, np_)
+        powed = powers[np_]
         M = mg.modulus
         diff = [(s - t) % M for s, t in zip(shifted, powed)]
         bad = next((k for k, c in enumerate(diff) if c % np_), None)
@@ -764,6 +802,84 @@ def orbit_monoid(vectors: list[WittVector], prime_norm_bound: int) -> OrbitMonoi
 def dim_x(vectors: list[WittVector], prime_norm_bound: int) -> int:
     """dim_K X_Xi: the element count of the orbit monoid."""
     return len(orbit_monoid(vectors, prime_norm_bound).reps)
+
+
+def _cyclic_candidates(max_den: int, coeff_bound: int, limit: int):
+    """Up to limit combinations c*zeta^gamma, then c1*zeta^g1 + c2*zeta^g2.
+
+    gamma runs over reduced fractions in (0, 1) with denominator <= max_den,
+    and each c over the nonzero integers in [-coeff_bound, coeff_bound].
+    """
+    gammas = sorted(
+        {
+            Fraction(p, q)
+            for q in range(2, max_den + 1)
+            for p in range(1, q)
+            if math.gcd(p, q) == 1
+        }
+    )
+    coeffs = [c for c in range(-coeff_bound, coeff_bound + 1) if c]
+    count = 0
+    for g in gammas:
+        for c in coeffs:
+            yield ((c, g),)
+            count += 1
+            if count >= limit:
+                return
+    for i in range(len(gammas)):
+        for j in range(i + 1, len(gammas)):
+            for c1 in coeffs:
+                for c2 in coeffs:
+                    yield ((c1, gammas[i]), (c2, gammas[j]))
+                    count += 1
+                    if count >= limit:
+                        return
+
+
+def cyclic_search(
+    target_size: int,
+    *,
+    max_den: int,
+    coeff_bound: int,
+    limit: int,
+    max_hits: int,
+    bound: int,
+    primes: int,
+) -> dict:
+    """Search small integer combinations of zeta^(gamma) for a target orbit size.
+
+    Exploratory only: hits are reported as found, and nothing is claimed
+    about combinations outside the enumerated window.  Candidates whose
+    orbit does not close within the bound are skipped.  Returns the
+    wittkit/cyclic-search/1 payload.
+    """
+    hits = []
+    tried = 0
+    for combo in _cyclic_candidates(max_den, coeff_bound, limit):
+        tried += 1
+        xi = zlinear_combine([c for c, _ in combo], [g for _, g in combo], bound)
+        try:
+            monoid = orbit_monoid([xi], primes)
+        except InsufficientBoundError:
+            continue
+        if len(monoid) == target_size:
+            hits.append(
+                {
+                    "terms": [[c, str(g)] for c, g in combo],
+                    "orbit_size": len(monoid),
+                    "reps": [ideal_label(r) for r in monoid.reps],
+                }
+            )
+            if len(hits) >= max_hits:
+                break
+    return {
+        "schema": "wittkit/cyclic-search/1",
+        "target_size": target_size,
+        "tried": tried,
+        "n_hits": len(hits),
+        "hits": hits,
+        "note": "exploratory search over a finite window; asserts nothing",
+    }
 
 
 class _UnionFind:

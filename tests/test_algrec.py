@@ -352,3 +352,24 @@ def test_minpoly_agrees_with_pslq():
         assert rel is not None
         g = math.gcd(*rel)
         assert tuple(c // g for c in rel) in (poly.coeffs, tuple(-c for c in poly.coeffs))
+
+
+def test_compositum_roots_keep_every_evalf_digit():
+    from sympy import CRootOf, Poly
+    from sympy.abc import x
+
+    from wittkit.algrec import _evalf_mpc
+
+    # H_{-23}: one real root near -3493225.7 and two complex conjugates
+    h23 = Poly([1, 3491750, -5151296875, 12771880859375], x)
+    real_root = CRootOf(h23, 0)
+    with mpmath.workdps(80):
+        want = mpmath.mpf(str(real_root.evalf(70)))
+        got = _evalf_mpc(real_root, 70)
+        assert abs(got - want) < mpmath.mpf(10) ** -60
+        # complex() keeps about 16 digits, far short of the 10^-30 match at prec 120
+        assert abs(mpmath.mpc(complex(real_root.evalf(70))) - want) > mpmath.mpf(10) ** -20
+        # the imaginary part keeps its digits too: a root of x^2 - x + 6
+        root = CRootOf(Poly([1, -1, 6], x), 1)
+        want = (1 + mpmath.sqrt(-23)) / 2
+        assert abs(_evalf_mpc(root, 70) - want) < mpmath.mpf(10) ** -60

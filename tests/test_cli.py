@@ -141,6 +141,20 @@ def test_cyclic_search_asserts_nothing(capsys):
     assert "asserts nothing" in data["note"]
 
 
+
+def test_cyclic_search_command_stamps_the_library_payload(capsys):
+    payload = witt.cyclic_search(
+        3, max_den=3, coeff_bound=1, limit=10, max_hits=5, bound=200, primes=7
+    )
+    assert payload["tried"] == 10 and payload["n_hits"] >= 1 and "params" not in payload
+    code, data = run_cli(
+        capsys, "witt", "cyclic-search", "--target-size", "3", "--max-den", "3",
+        "--coeff-bound", "1", "--limit", "10", "--bound", "200", "--primes", "7",
+    )
+    assert code == 0
+    assert data["params"]["bound"] == 200 and data["params"]["prime_norm_bound"] == 7
+    assert {k: v for k, v in data.items() if k != "params"} == payload
+
 def test_automata_minimize_and_dot(capsys, tmp_path):
     spec = _write_spec(tmp_path, "z3.json", {"kind": "zeta", "gamma": "1/3", "bound": 200})
     dot = tmp_path / "m.dot"

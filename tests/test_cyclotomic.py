@@ -127,3 +127,50 @@ def test_negative_exponents_raise_usage_error():
         ctx.pow(ctx.root(1), -1)
     with pytest.raises(UsageError):
         formal_pow({1: Fraction(1)}, -2, 6)
+
+
+def _slow_root(ctx, k: int) -> dict:
+    """zeta_L^k built afresh from the coordinate expansions."""
+    coords = [(k * m) % q for m, q in zip(ctx.m, ctx.q)]
+    terms = [((), 1)]
+    for i, j in enumerate(coords):
+        exp = ctx._expand_coord(i, j)
+        terms = [(t + (jj,), s * ss) for t, s in terms for jj, ss in exp]
+    out: dict = {}
+    one = Fraction(1)
+    for t, s in terms:
+        out[t] = out.get(t, 0) + s * one
+        if not out[t]:
+            del out[t]
+    return out
+
+
+def test_memoised_roots_and_evaluation_match_fresh_construction():
+    rng = random.Random(31)
+    for L in (1, 2, 4, 9, 12, 30, 60, 105, 210):
+        ctx = cyclo_context(L)
+        for k in list(range(-L, 2 * L)) + [rng.randrange(-10**6, 10**6) for _ in range(10)]:
+            got = ctx.root(k)
+            want = _slow_root(ctx, k)
+            assert got == want and list(got) == list(want)
+            assert all(type(c) is Fraction for c in got.values())
+        for _ in range(20):
+            g = {rng.randrange(L): Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(3)}
+            g = {k: c for k, c in g.items() if c}
+            n = rng.randrange(-50, 500)
+            want: dict = {}
+            for k, c in g.items():
+                want = ctx.add(want, ctx.scale(_slow_root(ctx, k * n), c))
+            assert ctx.eval_formal(g, n) == want
+
+
+def test_root_returns_a_fresh_dict():
+    ctx = cyclo_context(30)
+    first = ctx.root(7)
+    kept = dict(first)
+    first[next(iter(first))] = Fraction(99)
+    first[(9, 9, 9)] = Fraction(1)
+    assert ctx.root(7) == kept
+    ctx.root(7).clear()
+    assert ctx.root(7) == kept
+    assert ctx.eval_formal({7: Fraction(1)}) == kept

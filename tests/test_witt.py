@@ -1,3 +1,4 @@
+import copy
 import random
 from collections import Counter
 from fractions import Fraction
@@ -505,3 +506,216 @@ def test_group_ring_add_sub_match_components(xs, ys):
         assert z.gring is not None and all(type(c) is Fraction and c for c in z.gring.values())
         for a in z.ideals():
             assert z.value_at(a) == op(x.value_at(a), y.value_at(a))
+
+
+# ---------------------------------------------------------------------------
+# exact group-ring fast path against the code it replaced
+
+
+def _slow_kronecker_mul(a: list[int], b: list[int], L: int, M: int) -> list[int]:
+    """Circular convolution mod x^L - 1 with coefficients mod M.
+
+    Coefficients are packed into byte-aligned slots of one big integer so the
+    convolution rides on big-int multiplication.  Slot width is chosen so
+    column sums cannot overflow: L * (M-1)^2 < 256^slot_bytes.
+    """
+    slot_bytes = (L * (M - 1) * (M - 1)).bit_length() // 8 + 1
+    pa = int.from_bytes(b"".join(c.to_bytes(slot_bytes, "little") for c in a), "little")
+    pb = int.from_bytes(b"".join(c.to_bytes(slot_bytes, "little") for c in b), "little")
+    prod = pa * pb
+    raw = prod.to_bytes((2 * L - 1) * slot_bytes, "little")
+    out = [0] * L
+    for i in range(2 * L - 1):
+        c = int.from_bytes(raw[i * slot_bytes : (i + 1) * slot_bytes], "little")
+        if c:
+            j = i % L
+            out[j] = (out[j] + c) % M
+    return out
+
+
+def _mod_pow(g, e: int) -> list[int]:
+    """Square-and-multiply power of a _ModGring through the unfolded product."""
+    out = None
+    base = g.arr
+    while e:
+        if e & 1:
+            out = base if out is None else _slow_kronecker_mul(out, base, g.L, g.modulus)
+        e >>= 1
+        if e:
+            base = _slow_kronecker_mul(base, base, g.L, g.modulus)
+    if out is None:
+        out = [0] * g.L
+        out[0] = 1 % g.modulus
+    return out
+
+
+@st.composite
+def _kronecker_cases(draw):
+    L = draw(st.integers(1, 210))
+    M = draw(st.sampled_from([1, 2, 30030, 30030**2]) | st.integers(1, 30030**3))
+    coeff = st.integers(0, M - 1)
+    fill = draw(st.sampled_from(["random", "worst", "mixed"]))
+    if fill == "worst":
+        coeff = st.just(M - 1)
+    elif fill == "mixed":
+        coeff = st.sampled_from([0, M - 1]) | coeff
+    vec = st.lists(coeff, min_size=L, max_size=L)
+    a = draw(vec)
+    b = a if draw(st.booleans()) else draw(vec)
+    return a, b, L, M
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kronecker_cases())
+def test_folded_kronecker_matches_unfolded_oracle(case):
+    a, b, L, M = case
+    a_before, b_before = list(a), list(b)
+    assert _kronecker_mul(a, b, L, M) == _slow_kronecker_mul(a, b, L, M)
+    assert a == a_before and b == b_before
+
+
+def test_kronecker_worst_slot_is_exact():
+    # every product is (M-1)^2 and every circular sum has exactly L of them
+    for L, M in ((1, 2), (7, 30030), (210, 30030**2), (13, 2**64 + 1)):
+        worst = [M - 1] * L
+        want = [L * (M - 1) ** 2 % M] * L
+        assert _kronecker_mul(worst, worst, L, M) == want
+        assert _kronecker_mul(worst, list(worst), L, M) == want
+
+
+def _random_integer_vectors(seed: int, n: int, bound: int = 200):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        L = rng.choice([rng.randrange(1, 211), 30, 60, 105, 210])
+        terms = rng.randrange(1, 5)
+        coeffs = [rng.randrange(-9, 10) or 1 for _ in range(terms)]
+        gammas = [Fraction(rng.randrange(L), L) for _ in range(terms)]
+        out.append(zlinear_combine(coeffs, gammas, bound))
+    return out
+
+
+def test_chained_powers_match_square_and_multiply(monkeypatch):
+    real = witt._chain_powers
+    nodes = []
+
+    def checked(g, norms):
+        powers = real(g, norms)
+        assert sorted(powers) == sorted(set(norms))
+        for p, got in powers.items():
+            assert got == _mod_pow(g, p), (g.L, g.modulus, p)
+        nodes.append(g.L)
+        return powers
+
+    monkeypatch.setattr(witt, "_chain_powers", checked)
+    vectors = _random_integer_vectors(21, 30)
+    for xi in vectors:
+        if xi.gring:
+            assert check_un(xi, 2, 13).passed
+    # depth 2 over six primes: the root node and one child per prime
+    assert len(nodes) == 7 * sum(1 for xi in vectors if xi.gring)
+
+
+def test_check_un_report_unchanged_by_folded_kronecker(monkeypatch):
+    for xi in _random_integer_vectors(22, 8):
+        fast = check_un(xi, 2, 13).to_json()
+        with monkeypatch.context() as m:
+            m.setattr(witt, "_kronecker_mul", _slow_kronecker_mul)
+            slow = check_un(xi, 2, 13).to_json()
+        assert fast == slow
+
+
+def test_kronecker_calls_per_certificate_level(monkeypatch):
+    real = witt._kronecker_mul
+    calls = []
+
+    def counting(a, b, L, M):
+        calls.append(L)
+        return real(a, b, L, M)
+
+    monkeypatch.setattr(witt, "_kronecker_mul", counting)
+    xi = zlinear_combine([2, -3, 5], [Fraction(1, 4), Fraction(1, 7), Fraction(2, 15)], 200)
+    report = check_un(xi, 2, 13)
+    assert report.passed and report.primes_used == ["(2)", "(3)", "(5)", "(7)", "(11)", "(13)"]
+    # one level is the top integrality entry; the rest are power nodes
+    nodes = report.stats["certificate_levels"] - 1
+    assert nodes == 7
+    assert 0 < len(calls) <= 8 * nodes
+
+
+def _fresh_value(xi, a):
+    return cyclo_context(xi.gring_L).eval_formal(xi.gring, a.a)
+
+
+def test_value_at_matches_fresh_evaluation():
+    vectors = [
+        zlinear_combine([Fraction(1, 2), Fraction(-3, 7), 4], [Fraction(1, 6), Fraction(3, 10), Fraction(4, 15)], 200),
+        zlinear_combine([1, 1], [Fraction(1, 105), Fraction(2, 35)], 200),
+        zlinear_combine([Fraction(5, 3)], [Fraction(7, 60)], 90),
+        zeta_gamma(11, 3, 200),
+        all_ones(Q, 50),
+    ]
+    vectors += _random_integer_vectors(23, 10)
+    for xi in vectors:
+        for a in xi.ideals():
+            assert xi.value_at(a) == _fresh_value(xi, a)
+        # a second pass reads the memo and still agrees
+        assert xi.values_list() == [_fresh_value(xi, a) for a in xi.ideals()]
+
+
+def test_value_at_evaluates_each_residue_once(monkeypatch):
+    from wittkit.cyclotomic import CycloContext
+
+    real = CycloContext.eval_formal
+    calls = []
+
+    def counting(self, g, n=1):
+        calls.append(n)
+        return real(self, g, n)
+
+    monkeypatch.setattr(CycloContext, "eval_formal", counting)
+    xi = zlinear_combine([3, -2], [Fraction(1, 11), Fraction(5, 11)], 200)
+    assert xi.gring_L == 11
+    xi.values_list()
+    is_periodic_mod(xi, IdealHNF(Q, 11, 0, 1))
+    find_modulus(xi, [IdealHNF(Q, n, 0, 1) for n in (1, 11)])
+    orbit_monoid([xi], 13)
+    assert 0 < len(calls) <= 11
+    # ideals with one residue share one value
+    assert xi.value_at(IdealHNF(Q, 2, 0, 1)) is xi.value_at(IdealHNF(Q, 13, 0, 1))
+
+
+def test_group_ring_vector_rejects_stored_values():
+    dom = ExactCyclotomic(3)
+    with pytest.raises(UsageError):
+        WittVector(Q, dom, 10, values={unit_ideal(Q): dom.one()}, gring={1: Fraction(1)}, gring_L=3)
+
+
+def test_library_ops_leave_shared_values_unchanged():
+    xi = zlinear_combine([2, -1, 3], [Fraction(1, 3), Fraction(1, 4), Fraction(1, 6)], 200)
+    before = {a: copy.deepcopy(v) for a, v in zip(xi.ideals(), xi.values_list())}
+    # the eager copy holds the very dicts xi hands out, so the component
+    # paths below work on xi's memoised values
+    eager = _eager_copy(xi)
+    small = _eager_copy(zlinear_combine([2, -1, 3], [Fraction(1, 3), Fraction(1, 4), Fraction(1, 6)], 60))
+    three = IdealHNF(Q, 3, 0, 1)
+    for x, y in ((xi, xi), (xi, eager), (eager, eager)):
+        pointwise_add(x, y)
+        pointwise_sub(x, y)
+        pointwise_mul(x, y)
+    pointwise_pow(xi, 3)
+    pointwise_pow(eager, 3)
+    pointwise_pow(eager, 0)
+    pointwise_pow(eager, 1)
+    shift(xi, three)
+    shift(eager, three)
+    assert check_un(xi, 2, 13).passed
+    assert check_un(small, 1, 7).passed
+    divisors = [IdealHNF(Q, n, 0, 1) for n in (1, 2, 3, 4, 6, 12)]
+    assert find_modulus(xi, divisors).a == 12
+    assert find_modulus(eager, divisors).a == 12
+    assert len(orbit_monoid([xi, eager], 5)) == 10
+    for a in xi.ideals():
+        assert xi.value_at(a) == _fresh_value(xi, a) == before[a]
+        assert eager.value_at(a) == before[a]
+
