@@ -27,8 +27,8 @@ from fractions import Fraction
 import mpmath
 
 from .domains import BigComplex, ExactNumberField
-from .errors import CertificationError, PrecisionError, UsageError, WittkitError
-from .qfield import QuadField, class_group
+from .errors import PrecisionError, UsageError, WittkitError
+from .qfield import class_group
 from .witt import WittVector
 
 _LLL_DELTA = Fraction(99, 100)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import InsufficientBoundError, UsageError, WittkitError
 from .qfield import IdealHNF
-from .witt import OrbitMonoid, WittVector, dim_x, ideal_label, orbit_monoid
+from .witt import OrbitMonoid, WittVector, _UnionFind, ideal_label, orbit_monoid
 
 
 @dataclass
@@ -102,28 +102,14 @@ def _joint_output_partition(a: Dfao) -> list[int]:
     an order-dependent partition.
     """
     n = a.n_states
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = _UnionFind(n)
     for s in range(n):
         for t in range(s + 1, n):
-            rs, rt = find(s), find(t)
-            if rs == rt:
+            if uf.find(s) == uf.find(t):
                 continue
-            if all(
-                dom.eq(row[s], row[t]) for dom, row in zip(a.domains, a.outputs)
-            ):
-                parent[rt] = rs
-    labels, canon = [], {}
-    for s in range(n):
-        r = find(s)
-        labels.append(canon.setdefault(r, len(canon)))
-    return labels
+            if all(dom.eq(row[s], row[t]) for dom, row in zip(a.domains, a.outputs)):
+                uf.union(s, t)
+    return uf.labels()
 
 
 def _reachable(a: Dfao) -> list[int]:

@@ -10,6 +10,11 @@ Formal layer.  A formal sum sum_k c_k [k/L] over Z/L is kept as a sparse
 dict without any cyclotomic reduction; evaluation maps [k/L] to zeta_L^k.
 Formal products and powers are cheap and exact, and the evaluation map is a
 ring homomorphism, which is what the Witt-vector fast path relies on.
+
+Both layers share one kernel: _accumulate is the only loop that adds into a
+sparse dict and drops zero coordinates, CycloContext._expand the only
+(memoised) expansion of prod_i zeta_{q_i}^{e_i} into the basis, and power
+the only square-and-multiply.
 """
 
 from __future__ import annotations
@@ -39,6 +44,30 @@ def _factor_prime_powers(n: int) -> list[tuple[int, int]]:
     return out
 
 
+def _accumulate(out: dict, items, c) -> dict:
+    """out += c * sum_key v [key] over the (key, v) items, dropping zero coordinates."""
+    for key, v in items:
+        s = out.get(key, 0) + c * v
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
+
+
+def power(mul, one, x, e: int):
+    """x^e by square-and-multiply, for a ring given by mul and its one."""
+    if e < 0:
+        raise UsageError(f"exponent must be >= 0, got {e}")
+    out, base = one, x
+    while e:
+        if e & 1:
+            out = mul(out, base)
+        base = mul(base, base) if e > 1 else base
+        e >>= 1
+    return out
+
+
 @lru_cache(maxsize=None)
 def cyclo_context(L: int) -> "CycloContext":
     return CycloContext(L)
@@ -59,50 +88,49 @@ class CycloContext:
             self.degree *= f
         # CRT exponent multipliers: zeta_L^k = prod_i zeta_{q_i}^(k*m_i)
         self.m = [pow(L // q, -1, q) for q in self.q]
-        self._coord_expansion: list[dict[int, list[tuple[int, int]]]] = [
-            {} for _ in self.q
-        ]
+        self._expansions: dict[tuple, tuple[tuple[tuple, int], ...]] = {}
         self._roots: dict[int, tuple[tuple[tuple, int], ...]] = {}
 
     def _expand_coord(self, i: int, j: int) -> list[tuple[int, int]]:
         """Reduce zeta_{q_i}^j to the basis range [0, phi(q_i)): [(j', sign)]."""
-        cache = self._coord_expansion[i]
-        if j in cache:
-            return cache[j]
         q, phi = self.q[i], self.phi[i]
         p, e = self.prime_powers[i]
         j0 = j % q
         if j0 < phi:
-            out = [(j0, 1)]
-        else:
-            # Phi_{p^e} relation: sum_{u=0}^{p-1} zeta^(u p^(e-1) + r) = 0
-            r = j0 - phi
-            step = p ** (e - 1)
-            out = [(u * step + r, -1) for u in range(p - 1)]
-        cache[j] = out
-        return out
+            return [(j0, 1)]
+        # Phi_{p^e} relation: sum_{u=0}^{p-1} zeta^(u p^(e-1) + r) = 0
+        r = j0 - phi
+        step = p ** (e - 1)
+        return [(u * step + r, -1) for u in range(p - 1)]
+
+    def _expand(self, exps) -> tuple[tuple[tuple, int], ...]:
+        """prod_i zeta_{q_i}^(exps_i) in the basis, as (basis tuple, sign) items.
+
+        Memoised on the exponents reduced mod each q_i (at most L entries).
+        Each basis tuple occurs once, and the items are shared, never handed
+        out.
+        """
+        key = tuple(j % q for j, q in zip(exps, self.q))
+        items = self._expansions.get(key)
+        if items is None:
+            terms: list[tuple[tuple, int]] = [((), 1)]
+            for i, j in enumerate(key):
+                exp = self._expand_coord(i, j)
+                terms = [(t + (jj,), s * ss) for t, s in terms for jj, ss in exp]
+            items = self._expansions[key] = tuple(terms)
+        return items
 
     def _root_terms(self, k: int) -> tuple[tuple[tuple, int], ...]:
         """zeta_L^k's canonical coordinates as (basis tuple, integer) items.
 
-        Memoised per residue k mod L, so evaluation reads the items instead of
-        rebuilding tuples and Fractions for every term.  The items are shared
-        and never handed out: root() copies them into a fresh dict.
+        Memoised per residue k mod L, so evaluation reads the shared items
+        with one lookup and builds no exponent key.  root() copies them into
+        a fresh dict.
         """
         k %= self.L
         items = self._roots.get(k)
         if items is None:
-            coords = [(k * m) % q for m, q in zip(self.m, self.q)]
-            terms: list[tuple[tuple, int]] = [((), 1)]
-            for i, j in enumerate(coords):
-                exp = self._expand_coord(i, j)
-                terms = [(t + (jj,), s * ss) for t, s in terms for jj, ss in exp]
-            out: dict = {}
-            for t, s in terms:
-                out[t] = out.get(t, 0) + s
-                if not out[t]:
-                    del out[t]
-            items = self._roots[k] = tuple(out.items())
+            items = self._roots[k] = self._expand([k * m for m in self.m])
         return items
 
     def root(self, k: int) -> dict:
@@ -117,67 +145,30 @@ class CycloContext:
         return {} if c == 0 else {tuple(0 for _ in self.q): c}
 
     def add(self, x: dict, y: dict) -> dict:
-        out = dict(x)
-        for k, c in y.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return out
+        return formal_add(x, y)
 
     def scale(self, x: dict, c) -> dict:
-        c = Fraction(c)
-        if c == 0:
-            return {}
-        return {k: v * c for k, v in x.items()}
+        return formal_scale(x, c)
 
     def sub(self, x: dict, y: dict) -> dict:
         return self.add(x, self.scale(y, -1))
-
-    def _mul_basis(self, t1: tuple, t2: tuple) -> list[tuple[tuple, int]]:
-        terms: list[tuple[tuple, int]] = [((), 1)]
-        for i, (j1, j2) in enumerate(zip(t1, t2)):
-            exp = self._expand_coord(i, j1 + j2)
-            terms = [(t + (jj,), s * ss) for t, s in terms for jj, ss in exp]
-        return terms
 
     def mul(self, x: dict, y: dict) -> dict:
         out: dict = {}
         for t1, c1 in x.items():
             for t2, c2 in y.items():
-                c = c1 * c2
-                for t, s in self._mul_basis(t1, t2):
-                    v = out.get(t, 0) + (c if s > 0 else -c)
-                    if v:
-                        out[t] = v
-                    else:
-                        out.pop(t, None)
+                _accumulate(out, self._expand([j1 + j2 for j1, j2 in zip(t1, t2)]), c1 * c2)
         return out
 
     def pow(self, x: dict, e: int) -> dict:
-        if e < 0:
-            raise UsageError(f"exponent must be >= 0, got {e}")
-        out = self.from_fraction(1)
-        base = x
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base) if e > 1 else base
-            e >>= 1
-        return out
+        return power(self.mul, self.from_fraction(1), x, e)
 
     def eval_formal(self, g: dict, n: int = 1) -> dict:
         """Canonical value of a formal sum at scale n: sum c_k zeta_L^(k n)."""
         out: dict = {}
         L = self.L
         for k, c in g.items():
-            for t, v in self._root_terms(k * n % L):
-                s = out.get(t, 0) + c * v
-                if s:
-                    out[t] = s
-                else:
-                    out.pop(t, None)
+            _accumulate(out, self._root_terms(k * n % L), c)
         return out
 
     def galois(self, x: dict, t: int) -> dict:
@@ -186,16 +177,7 @@ class CycloContext:
             raise ValueError(f"{t} is not coprime to {self.L}")
         out: dict = {}
         for tup, c in x.items():
-            terms: list[tuple[tuple, int]] = [((), 1)]
-            for i, j in enumerate(tup):
-                exp = self._expand_coord(i, (t * j) % self.q[i])
-                terms = [(tt + (jj,), s * ss) for tt, s in terms for jj, ss in exp]
-            for tt, s in terms:
-                v = out.get(tt, 0) + (c if s > 0 else -c)
-                if v:
-                    out[tt] = v
-                else:
-                    out.pop(tt, None)
+            _accumulate(out, self._expand([t * j for j in tup]), c)
         return out
 
     def as_rational(self, x: dict):
@@ -250,25 +232,11 @@ class CycloContext:
 
 
 def formal_shift(g: dict, n: int, L: int) -> dict:
-    out: dict = {}
-    for k, c in g.items():
-        kk = (k * n) % L
-        s = out.get(kk, 0) + c
-        if s:
-            out[kk] = s
-        else:
-            out.pop(kk, None)
-    return out
+    return _accumulate({}, (((k * n) % L, c) for k, c in g.items()), 1)
+
 
 def formal_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k, 0) + c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
+    return _accumulate(dict(a), b.items(), 1)
 
 
 def formal_scale(a: dict, c) -> dict:
@@ -283,24 +251,9 @@ def formal_mul(a: dict, b: dict, L: int) -> dict:
         a, b = b, a
     out: dict = {}
     for k1, c1 in a.items():
-        for k2, c2 in b.items():
-            k = (k1 + k2) % L
-            s = out.get(k, 0) + c1 * c2
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+        _accumulate(out, (((k1 + k2) % L, c2) for k2, c2 in b.items()), c1)
     return out
 
 
 def formal_pow(a: dict, e: int, L: int) -> dict:
-    if e < 0:
-        raise UsageError(f"exponent must be >= 0, got {e}")
-    out = {0: Fraction(1)}
-    base = a
-    while e:
-        if e & 1:
-            out = formal_mul(out, base, L)
-        base = formal_mul(base, base, L) if e > 1 else base
-        e >>= 1
-    return out
+    return power(lambda x, y: formal_mul(x, y, L), {0: Fraction(1)}, a, e)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .cyclotomic import cyclo_context
+from .cyclotomic import cyclo_context, power
 from .errors import CertificationError, PrecisionError, UsageError
 
 
@@ -303,14 +303,7 @@ class ExactNumberField:
         return tuple(out)
 
     def pow(self, x, e: int):
-        out = self.one()
-        base = x
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base) if e > 1 else base
-            e >>= 1
-        return out
+        return power(self.mul, self.one(), x, e)
 
     def inverse(self, x):
         # extended Euclid in Q[x] against the monic modulus

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import formal_add, formal_mul, formal_pow, formal_scale, formal_shift
+from .cyclotomic import _accumulate, formal_add, formal_mul, formal_pow, formal_scale, formal_shift
 from .domains import BigComplex, ExactCyclotomic
 from .errors import (
     BoundExhaustedError,
@@ -185,14 +185,9 @@ def zlinear_combine(coeffs, gammas, bound: int) -> WittVector:
     L = 1
     for g in gammas:
         L = math.lcm(L, g.denominator)
-    gring: dict[int, Fraction] = {}
-    for c, g in zip(coeffs, gammas):
-        k = (g.numerator * (L // g.denominator)) % L
-        acc = gring.get(k, Fraction(0)) + Fraction(c)
-        if acc:
-            gring[k] = acc
-        else:
-            gring.pop(k, None)
+    gring = _accumulate(
+        {}, (((g.numerator * (L // g.denominator)) % L, Fraction(c)) for c, g in zip(coeffs, gammas)), 1
+    )
     field = make_field(1)
     return WittVector(field, ExactCyclotomic(L), bound, gring=gring, gring_L=L)
 
@@ -244,14 +239,12 @@ def shift(xi: WittVector, a: IdealHNF) -> WittVector:
 def _pointwise(x: WittVector, y: WittVector, op_name: str) -> WittVector:
     domain = _same_domain(x, y)
     bound = min(x.bound, y.bound)
-    if (
-        x.gring is not None
-        and y.gring is not None
-        and x.gring_L == y.gring_L
-        and op_name != "mul"
-    ):
-        yg = formal_scale(y.gring, -1) if op_name == "sub" else y.gring
-        g = formal_add(x.gring, yg)
+    if x.gring is not None and y.gring is not None and x.gring_L == y.gring_L:
+        if op_name == "mul":
+            g = formal_mul(x.gring, y.gring, x.gring_L)
+        else:
+            yg = formal_scale(y.gring, -1) if op_name == "sub" else y.gring
+            g = formal_add(x.gring, yg)
         return WittVector(x.field, domain, bound, gring=g, gring_L=x.gring_L)
     op = getattr(domain, op_name)
     vals = {a: op(x.value_at(a), y.value_at(a)) for a in _ideals(x.field, bound)}
@@ -267,13 +260,7 @@ def pointwise_sub(x: WittVector, y: WittVector) -> WittVector:
 
 
 def pointwise_mul(x: WittVector, y: WittVector) -> WittVector:
-    domain = _same_domain(x, y)
-    bound = min(x.bound, y.bound)
-    if x.gring is not None and y.gring is not None and x.gring_L == y.gring_L:
-        g = formal_mul(x.gring, y.gring, x.gring_L)
-        return WittVector(x.field, domain, bound, gring=g, gring_L=x.gring_L)
-    vals = {a: domain.mul(x.value_at(a), y.value_at(a)) for a in _ideals(x.field, bound)}
-    return WittVector(x.field, domain, bound, values=vals)
+    return _pointwise(x, y, "mul")
 
 
 def pointwise_pow(x: WittVector, e: int) -> WittVector:

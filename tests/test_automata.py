@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wittkit.automata import (
     Dfao,
+    _joint_output_partition,
     check_bridy,
     dfao_from_witt,
     equivalent,
@@ -15,6 +19,7 @@ from wittkit.automata import (
     validate_dfao,
 )
 from wittkit.cyclotomic import cyclo_context
+from wittkit.domains import BigComplex, ExactCyclotomic
 from wittkit.errors import InsufficientBoundError, UsageError
 from wittkit.qfield import IdealHNF, make_field
 from wittkit.witt import all_ones, rho_vector, zeta_gamma, zlinear_combine
@@ -182,3 +187,68 @@ def test_multi_vector_machine():
     assert len(a.outputs) == 2
     m = minimize(a)
     assert m.n_states == 6
+
+
+def _old_joint_output_partition(a: Dfao) -> list[int]:
+    """Initial Moore blocks: states with equal outputs in every row.
+
+    Union-find over pairwise equality so BigComplex tolerance cannot produce
+    an order-dependent partition.
+    """
+    n = a.n_states
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for s in range(n):
+        for t in range(s + 1, n):
+            rs, rt = find(s), find(t)
+            if rs == rt:
+                continue
+            if all(
+                dom.eq(row[s], row[t]) for dom, row in zip(a.domains, a.outputs)
+            ):
+                parent[rt] = rs
+    labels, canon = [], {}
+    for s in range(n):
+        r = find(s)
+        labels.append(canon.setdefault(r, len(canon)))
+    return labels
+
+
+def _rows_only(outputs, domains) -> Dfao:
+    n = len(outputs[0])
+    return Dfao(alphabet=[], n_states=n, initial=0, transitions=[[] for _ in range(n)],
+                outputs=outputs, domains=domains)
+
+
+@settings(max_examples=60, deadline=None)
+@example([(0, 0, 0), (2, 0, 0), (1, 0, 0)])
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 3), st.integers(0, 11)), min_size=1, max_size=14))
+def test_joint_output_partition_matches_its_union_find_oracle(states):
+    # BigComplex points 0.6 tol apart: neighbours are equal, points two steps
+    # apart are not, so equality chains non-transitively across tol
+    dom = BigComplex(20)
+    step = dom.tol * mpmath.mpf("0.6")
+    with mpmath.workdps(dom.workdps):
+        chain = [mpmath.mpc(i * step, 0) for i, _, _ in states]
+        drift = [mpmath.mpc(1, j * step) for _, j, _ in states]
+    ctx = cyclo_context(12)
+    exact = [ctx.root(k) for _, _, k in states]
+    c12 = ExactCyclotomic(12)
+    for outputs, domains in [
+        ([chain], [dom]),
+        ([chain, drift], [dom, dom]),
+        ([exact], [c12]),
+        ([chain, exact], [dom, c12]),
+    ]:
+        a = _rows_only(outputs, domains)
+        assert _joint_output_partition(a) == _old_joint_output_partition(a)
+    if [i for i, _, _ in states] == [0, 2, 1]:
+        # 0 and 2 differ by 1.2 tol, yet both equal 1, so all three join
+        assert not dom.eq(chain[0], chain[1])
+        assert _joint_output_partition(_rows_only([chain], [dom])) == [0, 0, 0]

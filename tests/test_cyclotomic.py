@@ -1,8 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittkit.cyclotomic import (
     cyclo_context,
@@ -12,6 +15,7 @@ from wittkit.cyclotomic import (
     formal_scale,
     formal_add,
 )
+from wittkit.domains import ExactNumberField
 from wittkit.errors import UsageError
 
 
@@ -174,3 +178,169 @@ def test_root_returns_a_fresh_dict():
     ctx.root(7).clear()
     assert ctx.root(7) == kept
     assert ctx.eval_formal({7: Fraction(1)}) == kept
+
+
+# The arithmetic as it was before the shared accumulator, expansion and power
+# routine, kept verbatim (self -> ctx) as the oracle for them.
+
+
+def _old_mul_basis(ctx, t1: tuple, t2: tuple) -> list[tuple[tuple, int]]:
+    terms: list[tuple[tuple, int]] = [((), 1)]
+    for i, (j1, j2) in enumerate(zip(t1, t2)):
+        exp = ctx._expand_coord(i, j1 + j2)
+        terms = [(t + (jj,), s * ss) for t, s in terms for jj, ss in exp]
+    return terms
+
+
+def _old_mul(ctx, x: dict, y: dict) -> dict:
+    out: dict = {}
+    for t1, c1 in x.items():
+        for t2, c2 in y.items():
+            c = c1 * c2
+            for t, s in _old_mul_basis(ctx, t1, t2):
+                v = out.get(t, 0) + (c if s > 0 else -c)
+                if v:
+                    out[t] = v
+                else:
+                    out.pop(t, None)
+    return out
+
+
+def _old_pow(ctx, x: dict, e: int) -> dict:
+    if e < 0:
+        raise UsageError(f"exponent must be >= 0, got {e}")
+    out = ctx.from_fraction(1)
+    base = x
+    while e:
+        if e & 1:
+            out = _old_mul(ctx, out, base)
+        base = _old_mul(ctx, base, base) if e > 1 else base
+        e >>= 1
+    return out
+
+
+def _old_eval_formal(ctx, g: dict, n: int = 1) -> dict:
+    """Canonical value of a formal sum at scale n: sum c_k zeta_L^(k n)."""
+    out: dict = {}
+    L = ctx.L
+    for k, c in g.items():
+        for t, v in ctx._root_terms(k * n % L):
+            s = out.get(t, 0) + c * v
+            if s:
+                out[t] = s
+            else:
+                out.pop(t, None)
+    return out
+
+
+def _old_galois(ctx, x: dict, t: int) -> dict:
+    """sigma_t for t coprime to L, acting coordinate-wise."""
+    if any(t % p == 0 for p, _ in ctx.prime_powers):
+        raise ValueError(f"{t} is not coprime to {ctx.L}")
+    out: dict = {}
+    for tup, c in x.items():
+        terms: list[tuple[tuple, int]] = [((), 1)]
+        for i, j in enumerate(tup):
+            exp = ctx._expand_coord(i, (t * j) % ctx.q[i])
+            terms = [(tt + (jj,), s * ss) for tt, s in terms for jj, ss in exp]
+        for tt, s in terms:
+            v = out.get(tt, 0) + (c if s > 0 else -c)
+            if v:
+                out[tt] = v
+            else:
+                out.pop(tt, None)
+    return out
+
+
+def _old_formal_shift(g: dict, n: int, L: int) -> dict:
+    out: dict = {}
+    for k, c in g.items():
+        kk = (k * n) % L
+        s = out.get(kk, 0) + c
+        if s:
+            out[kk] = s
+        else:
+            out.pop(kk, None)
+    return out
+
+
+def _old_formal_mul(a: dict, b: dict, L: int) -> dict:
+    if len(a) > len(b):
+        a, b = b, a
+    out: dict = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = (k1 + k2) % L
+            s = out.get(k, 0) + c1 * c2
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+    return out
+
+
+def _old_formal_pow(a: dict, e: int, L: int) -> dict:
+    if e < 0:
+        raise UsageError(f"exponent must be >= 0, got {e}")
+    out = {0: Fraction(1)}
+    base = a
+    while e:
+        if e & 1:
+            out = _old_formal_mul(out, base, L)
+        base = _old_formal_mul(base, base, L) if e > 1 else base
+        e >>= 1
+    return out
+
+
+_conductors = st.one_of(st.sampled_from([1, 8, 9, 12, 30, 210]), st.integers(1, 210))
+_coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+
+
+@st.composite
+def _formal_pair(draw):
+    """(L, a, b): sparse formal sums over Z/L, b often holding -a."""
+    L = draw(_conductors)
+    terms = st.dictionaries(st.integers(0, L - 1), _coeffs, max_size=4)
+    a, b = draw(terms), draw(terms)
+    if draw(st.booleans()):
+        b = {**b, **formal_scale(a, -1)}
+    return L, a, b
+
+
+def _same(got: dict, want: dict) -> None:
+    assert list(got.items()) == list(want.items())
+    assert all(got.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(_formal_pair(), st.integers(0, 12), st.integers(-300, 300))
+def test_shared_kernel_matches_the_arithmetic_it_replaced(case, e, n):
+    L, a, b = case
+    ctx = cyclo_context(L)
+    _same(formal_shift(a, n, L), _old_formal_shift(a, n, L))
+    _same(formal_mul(a, b, L), _old_formal_mul(a, b, L))
+    _same(formal_pow(a, e, L), _old_formal_pow(a, e, L))
+    assert formal_add(a, formal_scale(a, -1)) == {}
+    x, y = ctx.eval_formal(a), ctx.eval_formal(b, n)
+    _same(x, _old_eval_formal(ctx, a))
+    _same(y, _old_eval_formal(ctx, b, n))
+    _same(ctx.mul(x, y), _old_mul(ctx, x, y))
+    assert ctx.add(x, ctx.scale(x, -1)) == {}
+    assert ctx.sub(ctx.add(x, y), x) == y
+    _same(ctx.mul(x, ctx.scale(x, -1)), ctx.scale(_old_mul(ctx, x, x), -1))
+    if len(x) <= 8:  # keeps the dense powers in Q(zeta_210) quick
+        _same(ctx.pow(x, e), _old_pow(ctx, x, e))
+    t = n if math.gcd(n, L) == 1 else 1
+    _same(ctx.galois(x, t), _old_galois(ctx, x, t))
+
+
+def test_every_exact_power_rejects_a_negative_exponent():
+    nf = ExactNumberField([-1, 0, 1], 1, 60)
+    ctx = cyclo_context(12)
+    for call in (
+        lambda: nf.pow(nf.gen(), -1),
+        lambda: ctx.pow(ctx.root(1), -1),
+        lambda: formal_pow({1: Fraction(1)}, -1, 12),
+    ):
+        with pytest.raises(UsageError):
+            call()
