@@ -41,6 +41,7 @@ from .qfield import (
     IdealHNF,
     QuadElement,
     QuadField,
+    checked_ideal,
     class_group,
     class_number,
     enumerate_ideals,
@@ -95,8 +96,7 @@ def parse_ideal(field: QuadField, token) -> IdealHNF:
             raise UsageError(f"malformed HNF ideal token {token!r}") from None
         if len(parts) not in (3, 4):
             raise UsageError(f"HNF tokens need 3 or 4 integers, got {token!r}")
-        den = parts[3] if len(parts) == 4 else 1
-        return IdealHNF(field, parts[0], parts[1], parts[2], den)
+        return checked_ideal(field, *parts)
     if "," in text:
         xs, ys = text.split(",", 1)
         return principal_ideal(QuadElement(field, _parse_fraction(xs), _parse_fraction(ys)))

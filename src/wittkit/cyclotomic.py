@@ -25,23 +25,7 @@ from functools import lru_cache
 import mpmath
 
 from .errors import UsageError, WittkitError
-
-
-def _factor_prime_powers(n: int) -> list[tuple[int, int]]:
-    """[(p, e), ...] with n = prod p^e, ascending p."""
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        p += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
+from .qfield import factor_int
 
 
 def _accumulate(out: dict, items, c) -> dict:
@@ -80,7 +64,7 @@ class CycloContext:
         if L < 1:
             raise ValueError("conductor must be positive")
         self.L = L
-        self.prime_powers = _factor_prime_powers(L)
+        self.prime_powers = factor_int(L)
         self.q = [p**e for p, e in self.prime_powers]
         self.phi = [(p - 1) * p ** (e - 1) for p, e in self.prime_powers]
         self.degree = 1

@@ -49,12 +49,12 @@ from .qfield import (
     QuadElement,
     QuadField,
     enumerate_ideals,
-    factor_prime,
     ideal_add,
     ideal_inverse,
     ideal_from_elements,
-    ideal_pow,
+    primes_over_norm,
     principal_ideal,
+    valuation,
 )
 from .rayclass import classify_ideals
 from .witt import WittVector, ideal_label, shift_partitions
@@ -575,34 +575,9 @@ class CharFamily:
         return f"char:N={self.N},|S|={len(self.S)}"
 
 
-def _valuation(p: IdealHNF, a: IdealHNF) -> int:
-    v = 0
-    power = p
-    while power.contains_ideal(a):
-        v += 1
-        power = ideal_pow(p, v + 1)
-    return v
-
-
 def _local_generator(a: IdealHNF) -> QuadElement:
     """s in a with v_p(s) = v_p(a) at every prime over N(a)."""
-    f = a.field
-    n = int(a.norm())
-    targets = []
-    seen = set()
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            seen.add(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        seen.add(m)
-    for p in sorted(seen):
-        for pid in factor_prime(f, p)[1]:
-            targets.append((pid, _valuation(pid, a)))
+    targets = [(pid, valuation(pid, a)) for pid in primes_over_norm(a)]
     g1, g2 = a.basis()
     for radius in range(1, 21):
         for x in range(-radius, radius + 1):
@@ -613,7 +588,7 @@ def _local_generator(a: IdealHNF) -> QuadElement:
                 if s.is_zero():
                     continue
                 ps = principal_ideal(s)
-                if all(_valuation(pid, ps) == v for pid, v in targets):
+                if all(valuation(pid, ps) == v for pid, v in targets):
                     return s
     raise WittkitError(f"no local generator found for {a!r}")
 

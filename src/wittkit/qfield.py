@@ -9,6 +9,14 @@ An integral ideal is stored as the lattice Z*a + Z*(b + c*omega) with
 c | a, c | b and 0 <= b < a; the norm of that lattice is a*c.  A fractional
 ideal divides the same data by a positive integer den with
 gcd(a, b, c, den) = 1.  Elements are x + y*omega with exact rational x, y.
+
+One integer core.  Ideal products, sums, conjugates, inverses, containment
+and the principal test work on integer lattice generators: den*I is spanned
+by the pairs (a, 0) and (b, c) (only (a, 0) over Q), _omega_mul and
+_omega_conj are the coordinate rules for x + y*omega (QuadElement uses them
+too), and _ideal_from_int_pairs takes the HNF of the results.  basis() and
+ideal_from_elements stay for callers that hold field elements.  factor_int is
+the only trial-division factorization and valuation the only valuation loop.
 """
 
 from __future__ import annotations
@@ -22,14 +30,27 @@ from .errors import UsageError, WittkitError, require_int
 RATIONAL_D = 1
 
 
-def _squarefree(n: int) -> bool:
-    n = abs(n)
-    k = 2
-    while k * k <= n:
-        if n % (k * k) == 0:
-            return False
-        k += 1
-    return True
+def factor_int(n: int) -> list[tuple[int, int]]:
+    """[(p, e), ...] with n = prod p^e for n >= 1, ascending p."""
+    if n < 1:
+        raise UsageError(f"factor_int needs n >= 1, got {n}")
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and factor_int(n) == [(n, 1)]
 
 
 @dataclass(frozen=True)
@@ -81,11 +102,22 @@ def make_field(d: int) -> QuadField:
         return QuadField(d=RATIONAL_D, disc=1, omega_s=0, omega_t=0)
     if d >= 0:
         raise UsageError(f"d must be negative (or 1 for the rational field), got {d}")
-    if not _squarefree(d):
+    if any(e > 1 for _, e in factor_int(-d)):
         raise UsageError(f"d must be squarefree, got {d}")
     if d % 4 == 1:
         return QuadField(d=d, disc=d, omega_s=1, omega_t=(d - 1) // 4)
     return QuadField(d=d, disc=4 * d, omega_s=0, omega_t=d)
+
+
+def _omega_mul(f: QuadField, x1, y1, x2, y2) -> tuple:
+    """Coordinates of (x1 + y1*omega)(x2 + y2*omega), using omega^2 = s*omega + t."""
+    yy = y1 * y2
+    return x1 * x2 + yy * f.omega_t, x1 * y2 + x2 * y1 + yy * f.omega_s
+
+
+def _omega_conj(f: QuadField, x, y) -> tuple:
+    """Coordinates of conj(x + y*omega); conj(omega) = s - omega."""
+    return x + y * f.omega_s, -y
 
 
 @dataclass(frozen=True)
@@ -106,20 +138,14 @@ class QuadElement:
         return QuadElement(self.field, -self.x, -self.y)
 
     def __mul__(self, other: "QuadElement") -> "QuadElement":
-        f = self.field
-        x1, y1, x2, y2 = self.x, self.y, other.x, other.y
-        yy = y1 * y2
-        return QuadElement(f, x1 * x2 + yy * f.omega_t, x1 * y2 + x2 * y1 + yy * f.omega_s)
+        return QuadElement(self.field, *_omega_mul(self.field, self.x, self.y, other.x, other.y))
 
     def scale(self, r: Fraction) -> "QuadElement":
         r = Fraction(r)
         return QuadElement(self.field, self.x * r, self.y * r)
 
     def conj(self) -> "QuadElement":
-        f = self.field
-        if f.omega_s:  # conj(omega) = 1 - omega
-            return QuadElement(f, self.x + self.y, -self.y)
-        return QuadElement(f, self.x, -self.y)
+        return QuadElement(self.field, *_omega_conj(self.field, self.x, self.y))
 
     def norm(self) -> Fraction:
         p = self * self.conj()
@@ -277,14 +303,19 @@ class IdealHNF:
             return False
         return ((x - q * self.b) / self.a).denominator == 1
 
+    def int_gens(self) -> list[tuple[int, int]]:
+        """Integer generators of the lattice den*self: (a, 0), (b, c), or (a, 0) alone over Q."""
+        if self.field.is_rational:
+            return [(self.a, 0)]
+        return [(self.a, 0), (self.b, self.c)]
+
     def contains_ideal(self, other: "IdealHNF") -> bool:
         """other subseteq self, i.e. self divides other (for integral ideals)."""
-        w1, w2 = other.basis()
-        return self.contains(w1) and self.contains(w2)
+        return ideal_add(self, other) == self
 
     def conj(self) -> "IdealHNF":
-        w1, w2 = self.basis()
-        return ideal_from_elements(self.field, [w1.conj(), w2.conj()])
+        f = self.field
+        return _ideal_from_int_pairs(f, [_omega_conj(f, x, y) for x, y in self.int_gens()], self.den)
 
     def to_json(self) -> dict:
         return {"a": self.a, "b": self.b, "c": self.c, "den": self.den}
@@ -294,12 +325,24 @@ def unit_ideal(field: QuadField) -> IdealHNF:
     return IdealHNF(field, 1, 0, 1)
 
 
+def checked_ideal(field: QuadField, a: int, b: int, c: int, den: int = 1) -> IdealHNF:
+    """IdealHNF from outside data, rejecting a lattice that is not an O_K-ideal.
+
+    Z*a + Z*(b + c*omega) is one iff (a/c) | N(b/c + omega), the test enumerate_ideals applies.
+    """
+    p = IdealHNF(field, a, b, c, den)
+    if not field.is_rational and _norm_form(field, p.b // p.c, 1) % (p.a // p.c):
+        ap, bp = p.a // p.c, p.b // p.c
+        raise UsageError(f"({a}, {b}, {c}) is not an ideal of O_K: {ap} does not divide N({bp} + w)")
+    return p
+
+
 def ideal_from_json(field: QuadField, data: dict) -> IdealHNF:
     if not isinstance(data, dict) or not {"a", "b", "c"} <= set(data):
         raise UsageError(f"an ideal object needs keys a, b and c, got {data!r}")
     coords = (data["a"], data["b"], data["c"], data.get("den", 1))
     a, b, c, den = (require_int(x, "an ideal coordinate") for x in coords)
-    return IdealHNF(field, a, b, c, den)
+    return checked_ideal(field, a, b, c, den)
 
 
 def _ideal_from_int_pairs(field: QuadField, pairs: list[tuple[int, int]], den: int) -> IdealHNF:
@@ -345,30 +388,23 @@ def ideal_mul(p: IdealHNF, q: IdealHNF) -> IdealHNF:
     f = p.field
     if f.d != q.field.d:
         raise UsageError("ideals from different fields")
-    if f.is_rational:
-        return IdealHNF(f, p.a * q.a, 0, 1, p.den * q.den)
-    u1, u2 = p.basis()
-    v1, v2 = q.basis()
-    return ideal_from_elements(f, [u1 * v1, u1 * v2, u2 * v1, u2 * v2])
+    pairs = [_omega_mul(f, x1, y1, x2, y2) for x1, y1 in p.int_gens() for x2, y2 in q.int_gens()]
+    return _ideal_from_int_pairs(f, pairs, p.den * q.den)
 
 
 def ideal_add(p: IdealHNF, q: IdealHNF) -> IdealHNF:
     """gcd of two ideals: the lattice generated by both."""
-    f = p.field
-    u1, u2 = p.basis()
-    v1, v2 = q.basis()
-    return ideal_from_elements(f, [u1, u2, v1, v2])
+    pairs = [(x * q.den, y * q.den) for x, y in p.int_gens()] + [(x * p.den, y * p.den) for x, y in q.int_gens()]
+    return _ideal_from_int_pairs(p.field, pairs, p.den * q.den)
 
 
 def ideal_inverse(p: IdealHNF) -> IdealHNF:
+    """p^-1 = den * conj(I) / N(I) for p = I/den with I integral."""
     f = p.field
     if f.is_rational:
         return IdealHNF(f, p.den, 0, 1, p.a)
-    conj = p.conj()
-    n = Fraction(p.a * p.c)  # norm of the integral part
-    w1, w2 = conj.basis()
-    scale = Fraction(p.den) / n
-    return ideal_from_elements(f, [w1.scale(scale), w2.scale(scale)])
+    pairs = [_omega_conj(f, p.den * x, p.den * y) for x, y in p.int_gens()]
+    return _ideal_from_int_pairs(f, pairs, p.a * p.c)
 
 
 def ideal_pow(p: IdealHNF, k: int) -> IdealHNF:
@@ -427,7 +463,7 @@ def factor_prime(field: QuadField, p: int) -> tuple[str, list[IdealHNF]]:
     Returns (kind, primes) with kind in split / inert / ramified / rational.
     Split primes come in HNF order.
     """
-    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+    if not _is_prime(p):
         raise UsageError(f"factor_prime needs a rational prime, got {p}")
     if field.is_rational:
         return "rational", [IdealHNF(field, p, 0, 1)]
@@ -461,7 +497,7 @@ def prime_ideals(field: QuadField, norm_bound: int) -> list[IdealHNF]:
     """Prime ideals of norm <= norm_bound in enumeration order."""
     out = []
     for p in range(2, norm_bound + 1):
-        if any(p % q == 0 for q in range(2, p)):
+        if not _is_prime(p):
             continue
         kind, primes = factor_prime(field, p)
         if kind == "inert":
@@ -473,28 +509,27 @@ def prime_ideals(field: QuadField, norm_bound: int) -> list[IdealHNF]:
     return out
 
 
+def valuation(prime: IdealHNF, a: IdealHNF) -> int:
+    """The exponent of the prime ideal prime in the integral ideal a."""
+    e = 0
+    power = prime
+    while power.contains_ideal(a):
+        e += 1
+        power = ideal_mul(power, prime)
+    return e
+
+
+def primes_over_norm(a: IdealHNF) -> list[IdealHNF]:
+    """The prime ideals over the rational primes dividing N(a), in prime order."""
+    f = a.field
+    return [prime for q, _ in factor_int(int(a.norm())) for prime in factor_prime(f, q)[1]]
+
+
 def factor_ideal(p: IdealHNF) -> list[tuple[IdealHNF, int]]:
     """Prime factorization of an integral ideal, in prime enumeration order."""
     if not p.is_integral():
         raise UsageError("can only factor integral ideals")
-    f = p.field
-    n = int(p.norm())
-    out = []
-    q = 2
-    while q <= n:
-        if n % q == 0:
-            for prime in factor_prime(f, q)[1]:
-                e = 0
-                power = prime
-                while power.contains_ideal(p):
-                    e += 1
-                    power = ideal_mul(power, prime)
-                if e:
-                    out.append((prime, e))
-            while n % q == 0:
-                n //= q
-        q += 1
-    return out
+    return [(prime, e) for prime in primes_over_norm(p) if (e := valuation(prime, p))]
 
 
 def ideal_divisors(p: IdealHNF) -> list[IdealHNF]:
@@ -546,10 +581,11 @@ def is_principal(p: IdealHNF):
                 continue
             xs = [r, -r]
         for x in xs:
-            if (x - v * b) % a == 0:
-                t = QuadElement(f, Fraction(x, p.den), Fraction(y, p.den))
-                if principal_ideal(t) == p:
-                    return t
+            if (x - v * b) % a:
+                continue
+            # (t) is spanned by t and t*omega for t = x + y*omega
+            if _ideal_from_int_pairs(f, [(x, y), _omega_mul(f, x, y, 0, 1)], p.den) == p:
+                return QuadElement(f, Fraction(x, p.den), Fraction(y, p.den))
     return None
 
 

@@ -63,20 +63,6 @@ def congruent_mod(a: IdealHNF, b: IdealHNF, f: IdealHNF) -> bool:
     return False
 
 
-def _totient(n: int) -> int:
-    out = n
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out -= out // p
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out -= out // n
-    return out
-
-
 def phi_ideal(f: IdealHNF) -> int:
     """#(O_K/f)^* from the prime factorization of f."""
     out = 1
@@ -149,7 +135,7 @@ def ray_class_number(field: QuadField, f: IdealHNF) -> int:
     if not f.is_integral():
         raise UsageError("modulus must be integral")
     if field.is_rational:
-        return _totient(f.a)
+        return phi_ideal(f)
     return class_number(field) * phi_ideal(f) // _unit_image_size(field, f)
 
 

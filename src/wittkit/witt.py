@@ -34,6 +34,7 @@ from .qfield import (
     IdealHNF,
     QuadField,
     enumerate_ideals,
+    factor_int,
     ideal_from_json,
     ideal_mul,
     is_principal,
@@ -1067,17 +1068,5 @@ def _same_quadratic(disc: int, d: int) -> bool:
     """Whether Q(sqrt(disc)) = Q(sqrt(d)) for squarefree d."""
     if disc == 0:
         return False
-    sf = 1
-    n = abs(disc)
-    p = 2
-    while p * p <= n:
-        while n % (p * p) == 0:
-            n //= p * p
-        if n % p == 0:
-            sf *= p
-            n //= p
-        p += 1
-    sf *= n
-    if disc < 0:
-        sf = -sf
-    return sf == d
+    sf = math.prod(p for p, e in factor_int(abs(disc)) if e % 2)
+    return (sf if disc > 0 else -sf) == d

@@ -17,7 +17,7 @@ from wittkit import cli, rayclass, witt
 from wittkit.domains import BigComplex
 from wittkit.errors import UsageError
 from wittkit.modular import CharFamily, FrickeFamily, JFamily
-from wittkit.qfield import QuadElement, enumerate_ideals, make_field, principal_ideal
+from wittkit.qfield import IdealHNF, QuadElement, enumerate_ideals, ideal_from_json, make_field, principal_ideal
 
 K1 = make_field(-1)
 K5 = make_field(-5)
@@ -526,3 +526,43 @@ def test_fuzz_pipeline_config_exit_codes(config):
             code = cli.main(argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# HNF triples from the outside must be O_K-ideals
+
+
+@pytest.mark.parametrize("modulus", ["6:2:1", "3:0:1"])
+def test_drf_build_on_a_lattice_that_is_not_an_ideal_exits_2(capsys, modulus):
+    # Z*6 + Z*(2 + w) and Z*3 + Z*w for d = -5: 6 and 3 do not divide N(2 + w) = 9 and N(w) = 5
+    _run_expecting_usage_error(capsys, "drf", "build", "--d", "-5", "--modulus", modulus)
+
+
+def test_stored_vector_with_a_non_ideal_key_exits_2(capsys, tmp_path):
+    ones = {a: mpmath.mpc(1) for a in enumerate_ideals(K5, 4)}
+    stored = witt.WittVector(K5, BigComplex(60), 4, values=ones).to_json()
+    stored["values"][1][0] = {"a": 3, "b": 0, "c": 1, "den": 1}
+    vec = _write_spec(tmp_path, "v.json", stored)
+    code = cli.main(["algrec", "minpoly", "--value-from", vec, "--index", "1"])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert "is not an ideal of O_K" in err
+
+
+def test_hnf_triples_are_accepted_exactly_when_they_are_ideals():
+    for d in (-1, -2, -3, -5, -6, -15, -23):
+        field = make_field(d)
+        ideals = set(enumerate_ideals(field, 60))
+        for c in range(1, 8):
+            for a in range(c, 60 // c + 1, c):  # norm a*c <= 60
+                for b in range(0, a, c):
+                    token = f"{a}:{b}:{c}"
+                    data = {"a": a, "b": b, "c": c, "den": 3}
+                    if IdealHNF(field, a, b, c) in ideals:
+                        assert cli.parse_ideal(field, token) == IdealHNF(field, a, b, c)
+                        assert ideal_from_json(field, data) == IdealHNF(field, a, b, c, 3)
+                    else:
+                        with pytest.raises(UsageError):
+                            cli.parse_ideal(field, token)
+                        with pytest.raises(UsageError):
+                            ideal_from_json(field, data)
