@@ -28,8 +28,9 @@ import mpmath
 
 from .domains import BigComplex, ExactNumberField
 from .errors import PrecisionError, UsageError, WittkitError
-from .qfield import class_group
-from .witt import WittVector
+from .modular import _j_component
+from .qfield import class_group, make_field
+from .witt import WittVector, distinct_values
 
 _LLL_DELTA = Fraction(99, 100)
 
@@ -262,9 +263,6 @@ class ClassPolyReport:
 
 def class_polynomial(d: int, prec: int = 120) -> ClassPolyReport:
     """prod over ideal classes (X - j(a^-1)), rounded and certified (< 0.01)."""
-    from .modular import _j_component
-    from .qfield import make_field
-
     field = make_field(d)
     if field.is_rational:
         raise UsageError("class polynomials need an imaginary quadratic field")
@@ -328,20 +326,8 @@ class CertifyReport:
 
 def _cluster_values(xi: WittVector):
     """Distinct component values of a big-complex vector, with membership map."""
-    tol = xi.domain.tol
-    reps = []
-    assign = {}
-    with mpmath.workdps(xi.domain.workdps):
-        for a in xi.ideals():
-            v = xi.value_at(a)
-            for i, r in enumerate(reps):
-                if abs(v - r) < tol:
-                    assign[a] = i
-                    break
-            else:
-                reps.append(v)
-                assign[a] = len(reps) - 1
-    return reps, assign
+    reps, labels = distinct_values(xi.domain, xi.values_list())
+    return reps, dict(zip(xi.ideals(), labels))
 
 
 def _quadratic_roots(coeffs, dps):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import InsufficientBoundError, UsageError, WittkitError
 from .qfield import IdealHNF
-from .witt import OrbitMonoid, WittVector, _UnionFind, ideal_label, orbit_monoid
+from .witt import OrbitMonoid, WittVector, ideal_label, orbit_monoid, pairwise_partition
 
 
 @dataclass
@@ -101,15 +101,9 @@ def _joint_output_partition(a: Dfao) -> list[int]:
     Union-find over pairwise equality so BigComplex tolerance cannot produce
     an order-dependent partition.
     """
-    n = a.n_states
-    uf = _UnionFind(n)
-    for s in range(n):
-        for t in range(s + 1, n):
-            if uf.find(s) == uf.find(t):
-                continue
-            if all(dom.eq(row[s], row[t]) for dom, row in zip(a.domains, a.outputs)):
-                uf.union(s, t)
-    return uf.labels()
+    return pairwise_partition(
+        a.n_states, lambda s, t: all(dom.eq(row[s], row[t]) for dom, row in zip(a.domains, a.outputs))
+    )
 
 
 def _reachable(a: Dfao) -> list[int]:

@@ -2,8 +2,9 @@
 
 Three kinds: ExactCyclotomic (canonical cyclotomic arithmetic, decidable
 equality), ExactNumberField (Q[x]/(P) with a distinguished complex root),
-and BigComplex (mpmath at a fixed working precision, equality up to
-10^(-prec/2)).  The exact domains certify integrality and divisibility;
+and BigComplex (mpmath at a fixed working precision; eq is gap < tol, with
+tol = 10^(-prec/2) fixed at construction, and eq_strict takes an explicit
+tolerance).  The exact domains certify integrality and divisibility;
 BigComplex refuses to, loudly.
 """
 
@@ -15,6 +16,7 @@ import mpmath
 
 from .cyclotomic import cyclo_context, power
 from .errors import CertificationError, PrecisionError, UsageError
+from .qfield import QuadElement
 
 
 class ExactCyclotomic:
@@ -73,8 +75,6 @@ class ExactCyclotomic:
                 "cannot divide a cyclotomic value by a quadratic generator; "
                 "use a number-field domain"
             )
-        from .qfield import QuadElement
-
         quot = QuadElement(t.field, Fraction(c), Fraction(0)) * t.inverse()
         if not quot.is_integral():
             return None
@@ -121,27 +121,14 @@ class BigComplex:
             raise UsageError(f"precision {prec} is too low to certify anything")
         self.prec = prec
         self.workdps = prec + self.GUARD_DIGITS
+        with mpmath.workdps(self.workdps):
+            self.tol = mpmath.mpf(10) ** (-Fraction(prec, 2))
 
     def __repr__(self):
         return f"BigComplex({self.prec})"
 
-    @property
-    def tol(self):
-        with mpmath.workdps(self.workdps):
-            return mpmath.mpf(10) ** (-Fraction(self.prec, 2))
-
     def eq(self, x, y) -> bool:
-        return self.eq_verdict(x, y) == "eq"
-
-    def eq_verdict(self, x, y) -> str:
-        """'eq', 'ne', or 'ambiguous' when |x-y| sits within one order of tol."""
-        gap = self.gap(x, y)
-        with mpmath.workdps(self.workdps):
-            if gap < self.tol:
-                return "eq"
-            if gap < 10 * self.tol:
-                return "ambiguous"
-            return "ne"
+        return self.gap(x, y) < self.tol
 
     def gap(self, x, y):
         """|x - y| at the working precision."""

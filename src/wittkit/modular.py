@@ -18,15 +18,16 @@ domain by SL2(Z); weight factors (for g2, g3, Delta) and the Fricke index a
 
 A deformation family (j, a Fricke index, or a characteristic subset of
 M2(Z/N)) is evaluated at every integral ideal a of norm <= B by pairing the
-CM point tau of the inverse ideal with the level matrix expressing (tau_K, 1)
-in the chosen lattice basis; the result is a Witt vector with big-complex
-components.  The ideals a and n*a share a CM point, so the series (with its
-j and theta constants) is summed once per distinct numeric tau and
-precision, keyed by tau's bits: the numeric tau depends on the basis of the
-inverse ideal, not only on the point, so keying by the element w1/w2 of K
-would let the first ideal enumerated decide another's guard digits.  The
-public eisenstein, j_invariant and fricke sum a fresh series on every call
-and serve as the uncached oracle.
+CM point tau of the inverse ideal with the exact matrix expressing (tau_K, 1)
+in the chosen lattice basis, which cm_point builds and checks once per ideal
+(level_matrix reduces it mod N); the result is a Witt vector with
+big-complex components.  The ideals a and n*a share a CM point, so the
+series (with its j and theta constants) is summed once per distinct numeric
+tau and precision, keyed by tau's bits: the numeric tau depends on the basis
+of the inverse ideal, not only on the point, so keying by the element w1/w2
+of K would let the first ideal enumerated decide another's guard digits.
+The public eisenstein, j_invariant and fricke sum a fresh series on every
+call and serve as the uncached oracle.
 
 The modularity desk check (modularity_check) partitions the ideals of norm
 <= B by shift equality of the level-N family vectors and compares that
@@ -410,22 +411,30 @@ def fricke_power(d: int) -> int:
 
 @dataclass(frozen=True)
 class CmPoint:
+    """tau = w1/w2 for a basis (w1, w2) of the inverse ideal, and the exact
+    integer matrix writing (tau_K, 1) in that basis (det = N(a))."""
+
     ideal: IdealHNF
     w1: QuadElement
     w2: QuadElement
     tau: object
     prec: int
+    matrix: tuple[tuple[int, int], tuple[int, int]]
 
 
 _CM_CACHE: dict = {}
-_LM_CACHE: dict = {}
 _SERIES_CACHE: dict = {}
 
 
 def clear_caches():
     _CM_CACHE.clear()
-    _LM_CACHE.clear()
     _SERIES_CACHE.clear()
+
+
+def _int_div(num: int, den: int) -> int:
+    if num % den:
+        raise WittkitError(f"expected exact division {num}/{den} in level matrix")
+    return num // den
 
 
 def cm_point(a: IdealHNF, prec: int = DEFAULT_PREC) -> CmPoint:
@@ -443,11 +452,21 @@ def cm_point(a: IdealHNF, prec: int = DEFAULT_PREC) -> CmPoint:
     w1, w2 = v2, v1  # v2 carries omega, so v2/v1 has positive imaginary part
     if ideal_from_elements(f, [w1, w2]) != inv:
         raise WittkitError("CM basis does not span the inverse ideal")
+    ai, bi, ci, den = inv.a, inv.b, inv.c, inv.den
+    m11, m12 = _int_div(den, ci), -_int_div(den * bi, ci * ai)
+    m21, m22 = 0, _int_div(den, ai)
+    if w1.scale(m11) + w2.scale(m12) != f.omega():
+        raise WittkitError("level matrix row 1 does not reproduce tau_K")
+    if w1.scale(m21) + w2.scale(m22) != f.one():
+        raise WittkitError("level matrix row 2 does not reproduce 1")
+    det = m11 * m22 - m12 * m21
+    if det != a.norm():
+        raise WittkitError(f"level matrix determinant {det} != N(a) = {a.norm()}")
     with mpmath.workdps(prec + _GUARD):
         tau = qelem_numeric(w1) / qelem_numeric(w2)
         if not tau.imag > 0:
             raise WittkitError("CM point landed outside the upper half plane")
-    pt = CmPoint(a, w1, w2, tau, prec)
+    pt = CmPoint(a, w1, w2, tau, prec, ((m11, m12), (m21, m22)))
     _CM_CACHE[key] = pt
     return pt
 
@@ -466,42 +485,12 @@ class LevelMatrix:
         return a * d - b * c
 
 
-def _int_div(num: int, den: int) -> int:
-    if num % den:
-        raise WittkitError(f"expected exact division {num}/{den} in level matrix")
-    return num // den
-
-
 def level_matrix(a: IdealHNF, N: int, prec: int = DEFAULT_PREC) -> LevelMatrix:
+    """The CM point's exact matrix, with its entries reduced mod N."""
     if N < 1:
         raise UsageError(f"level must be >= 1, got {N}")
-    f = a.field
-    key = (f.d, a.key(), N)
-    if key in _LM_CACHE:
-        return _LM_CACHE[key]
-    pt = cm_point(a, prec)
-    inv = ideal_inverse(a)
-    ai, bi, ci, den = inv.a, inv.b, inv.c, inv.den
-    m11 = _int_div(den, ci)
-    m12 = -_int_div(den * bi, ci * ai)
-    m21 = 0
-    m22 = _int_div(den, ai)
-    omega = f.omega()
-    one = f.one()
-    if pt.w1.scale(m11) + pt.w2.scale(m12) != omega:
-        raise WittkitError("level matrix row 1 does not reproduce tau_K")
-    if pt.w1.scale(m21) + pt.w2.scale(m22) != one:
-        raise WittkitError("level matrix row 2 does not reproduce 1")
-    det = m11 * m22 - m12 * m21
-    if det != a.norm():
-        raise WittkitError(f"level matrix determinant {det} != N(a) = {a.norm()}")
-    lm = LevelMatrix(
-        N=N,
-        entries=((m11 % N, m12 % N), (m21 % N, m22 % N)),
-        exact=((m11, m12), (m21, m22)),
-    )
-    _LM_CACHE[key] = lm
-    return lm
+    exact = cm_point(a, prec).matrix
+    return LevelMatrix(N=N, entries=tuple(tuple(m % N for m in row) for row in exact), exact=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +651,7 @@ def modular_vector(family, field: QuadField, bound: int, prec: int = DEFAULT_PRE
         if isinstance(family, JFamily):
             values[b] = _j_component(b, prec)
         elif isinstance(family, FrickeFamily):
-            lm = level_matrix(b, family.level, prec)
-            (m11, m12), (m21, m22) = lm.exact
+            (m11, m12), (m21, m22) = cm_point(b, prec).matrix
             a1, a2 = family.a
             am = ((a1 * m11 + a2 * m21) % 1, (a1 * m12 + a2 * m22) % 1)
             if am == (0, 0):

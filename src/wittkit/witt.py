@@ -42,6 +42,7 @@ from .qfield import (
     prime_ideals,
     unit_ideal,
 )
+from .rayclass import _ray_key, j_classes
 
 
 @lru_cache(maxsize=256)
@@ -597,21 +598,18 @@ def _divide_vector(eta: WittVector, gen, stats):
 
 
 def is_periodic_mod(xi: WittVector, f: IdealHNF) -> bool:
-    """True iff components agree on every in-bound pair congruent mod f."""
-    from .rayclass import classify_ideals
-
+    """True iff each component equals the first one with the same ray key mod f."""
     if not f.is_integral():
         raise UsageError("modulus must be an integral ideal")
     ideals = xi.ideals()
     if not ideals:
         raise InsufficientBoundError("vector has no components")
-    _, labels = classify_ideals(f, list(ideals))
-    head: dict[int, object] = {}
-    for a, lab in zip(ideals, labels):
+    key, eq = _ray_key(f), xi.domain.eq
+    head: dict = {}
+    for a in ideals:
         v = xi.value_at(a)
-        if lab not in head:
-            head[lab] = v
-        elif not xi.domain.eq(head[lab], v):
+        w = head.setdefault(key(a), v)
+        if w is not v and not eq(w, v):  # group-ring residues share one object
             return False
     return True
 
@@ -645,16 +643,10 @@ class OrbitMonoid:
         return len(self.reps)
 
     def j_partition(self) -> list[list[int]]:
-        from .rayclass import j_classes
-
         return j_classes(self.table)
 
     def class_of(self, a: IdealHNF) -> int | None:
-        products: dict = {}
-        for i, r in enumerate(self.reps):
-            if _shifts_equal(self.vectors, a, r, products):
-                return i
-        return None
+        return _locate(self.vectors, self.reps, a, {})
 
     def to_json(self):
         return {
@@ -695,17 +687,19 @@ def _common_ideals(xi: WittVector, a: IdealHNF, b: IdealHNF, na: int, nb: int):
     return _ideals(xi.field, common)
 
 
-def _shifts_equal(vectors, a: IdealHNF, b: IdealHNF, products: dict) -> bool:
-    """Equality of psi_a and psi_b on every vector, over the comparable bound."""
-    if a == b:
-        return True
+def _shift_pairs(vectors, a: IdealHNF, b: IdealHNF, products: dict):
+    """(domain, psi_a xi at c, psi_b xi at c) over each vector xi and each c in
+    the comparable bound; a bound too small for both shifts raises on reaching it."""
     na, nb = int(a.norm()), int(b.norm())
     for xi in vectors:
-        eq = xi.domain.eq
+        domain = xi.domain
         for c in _common_ideals(xi, a, b, na, nb):
-            if not eq(xi.value_at(_product(products, a, c)), xi.value_at(_product(products, b, c))):
-                return False
-    return True
+            yield domain, xi.value_at(_product(products, a, c)), xi.value_at(_product(products, b, c))
+
+
+def _shifts_equal(vectors, a: IdealHNF, b: IdealHNF, products: dict) -> bool:
+    """Equality of psi_a and psi_b on every vector, over the comparable bound."""
+    return a == b or all(dom.eq(x, y) for dom, x, y in _shift_pairs(vectors, a, b, products))
 
 
 def _shift_gap(vectors, a: IdealHNF, b: IdealHNF, products: dict, cap):
@@ -715,15 +709,17 @@ def _shift_gap(vectors, a: IdealHNF, b: IdealHNF, products: dict, cap):
     below cap exactly when every gap is.
     """
     worst = 0
-    na, nb = int(a.norm()), int(b.norm())
-    for xi in vectors:
-        gap = xi.domain.gap
-        for c in _common_ideals(xi, a, b, na, nb):
-            g = gap(xi.value_at(_product(products, a, c)), xi.value_at(_product(products, b, c)))
-            if g >= cap:
-                return g
-            worst = max(worst, g)
+    for dom, x, y in _shift_pairs(vectors, a, b, products):
+        g = dom.gap(x, y)
+        if g >= cap:
+            return g
+        worst = max(worst, g)
     return worst
+
+
+def _locate(vectors, reps: list[IdealHNF], cand: IdealHNF, products: dict) -> int | None:
+    """Index of the first rep whose shifts equal cand's on every vector, else None."""
+    return next((k for k, r in enumerate(reps) if _shifts_equal(vectors, cand, r, products)), None)
 
 
 def orbit_monoid(vectors: list[WittVector], prime_norm_bound: int) -> OrbitMonoid:
@@ -743,18 +739,12 @@ def orbit_monoid(vectors: list[WittVector], prime_norm_bound: int) -> OrbitMonoi
     letter_action: list[list[int]] = []
     products: dict = {}
 
-    def locate(cand: IdealHNF) -> int | None:
-        for k, r in enumerate(reps):
-            if _shifts_equal(vectors, cand, r, products):
-                return k
-        return None
-
     i = 0
     while i < len(reps):
         row = []
         for p in alphabet:
             cand = _product(products, reps[i], p)
-            j = locate(cand)
+            j = _locate(vectors, reps, cand, products)
             if j is None:
                 reps.append(cand)
                 j = len(reps) - 1
@@ -766,7 +756,7 @@ def orbit_monoid(vectors: list[WittVector], prime_norm_bound: int) -> OrbitMonoi
     for ri in reps:
         row = []
         for rj in reps:
-            k = locate(_product(products, ri, rj))
+            k = _locate(vectors, reps, _product(products, ri, rj), products)
             if k is None:
                 raise BoundExhaustedError(
                     f"product {ideal_label(ri)}*{ideal_label(rj)} matches no rep; "
@@ -892,23 +882,28 @@ class _UnionFind:
         return [canon.setdefault(self.find(i), len(canon)) for i in range(len(self.parent))]
 
 
+def pairwise_partition(n: int, same) -> list[int]:
+    """Labels of the classes of range(n) under the closure of same(i, j), i < j.
+
+    Pairs are merged with union-find and a pair already in one class is not
+    compared, so a tolerance-based same() that is not transitive still
+    yields a partition.  Labels number classes in order of first appearance.
+    """
+    uf = _UnionFind(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if uf.find(i) != uf.find(j) and same(i, j):
+                uf.union(i, j)
+    return uf.labels()
+
+
 def shift_partition(vectors: list[WittVector], ideals: list[IdealHNF]) -> list[int]:
     """Labels for the partition of the given ideals by the domains' equality.
 
-    Pairwise comparisons are merged with union-find, so a tolerance-based
-    equality that happens to be non-transitive still yields a partition.
     shift_partitions takes explicit tolerances.
     """
-    n = len(ideals)
-    uf = _UnionFind(n)
     products: dict = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if uf.find(i) == uf.find(j):
-                continue
-            if _shifts_equal(vectors, ideals[i], ideals[j], products):
-                uf.union(i, j)
-    return uf.labels()
+    return pairwise_partition(len(ideals), lambda i, j: _shifts_equal(vectors, ideals[i], ideals[j], products))
 
 
 def shift_partitions(
@@ -993,14 +988,8 @@ def component_report(
         orbit = orbit_monoid([xi], prime_norm_bound)
     blocks = []
     for states in orbit.j_partition():
-        vals: list = []
-        for s in states:
-            a = orbit.reps[s]
-            nb = xi.bound // int(a.norm())
-            for c in _ideals(xi.field, nb):
-                v = xi.value_at(ideal_mul(a, c))
-                if not any(xi.domain.eq(v, w) for w in vals):
-                    vals.append(v)
+        values = [v for s in states for v in shift(xi, orbit.reps[s]).values_list()]
+        vals, _ = distinct_values(xi.domain, values)
         deg, certified, method, note = _component_degree(xi, vals, dmax)
         blocks.append(
             ComponentBlock(
@@ -1019,6 +1008,20 @@ def component_report(
         prime_norm_bound=prime_norm_bound,
         blocks=blocks,
     )
+
+
+def distinct_values(domain, values) -> tuple[list, list[int]]:
+    """(reps, labels): each value joins the first rep the domain calls equal, else
+    becomes a rep.  Never transitive, so a chain of near values can still split."""
+    reps: list = []
+    labels: list[int] = []
+    for v in values:
+        k = next((i for i, r in enumerate(reps) if domain.eq(v, r)), None)
+        if k is None:
+            k = len(reps)
+            reps.append(v)
+        labels.append(k)
+    return reps, labels
 
 
 def _component_degree(xi: WittVector, vals, dmax):

@@ -10,12 +10,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wittkit import modular, rayclass
-from wittkit.errors import PrecisionError, UsageError
+from wittkit.errors import PrecisionError, UsageError, WittkitError
 from wittkit.modular import (
     Axiom2Report,
     CharFamily,
     FrickeFamily,
     JFamily,
+    LevelMatrix,
     char_family_from_ideal,
     check_deformation_axiom2,
     cm_point,
@@ -35,6 +36,7 @@ from wittkit.qfield import (
     IdealHNF,
     QuadElement,
     enumerate_ideals,
+    ideal_inverse,
     make_field,
     principal_ideal,
     unit_ideal,
@@ -599,3 +601,59 @@ def test_modularity_check_verdicts_agree_across_precisions(d):
     low, high = (modularity_check(K, 2, 20, prec) for prec in (60, 100))
     for key in ("shift_classes", "ray_classes", "mismatches", "passed"):
         assert low[key] == high[key], key
+
+
+_OLD_LM_CACHE: dict = {}
+
+
+def _old_int_div(num: int, den: int) -> int:
+    if num % den:
+        raise WittkitError(f"expected exact division {num}/{den} in level matrix")
+    return num // den
+
+
+def _old_level_matrix(a: IdealHNF, N: int, prec: int = modular.DEFAULT_PREC) -> LevelMatrix:
+    """level_matrix as it was: its own cache and a second ideal inverse."""
+    if N < 1:
+        raise UsageError(f"level must be >= 1, got {N}")
+    f = a.field
+    key = (f.d, a.key(), N)
+    if key in _OLD_LM_CACHE:
+        return _OLD_LM_CACHE[key]
+    pt = cm_point(a, prec)
+    inv = ideal_inverse(a)
+    ai, bi, ci, den = inv.a, inv.b, inv.c, inv.den
+    m11 = _old_int_div(den, ci)
+    m12 = -_old_int_div(den * bi, ci * ai)
+    m21 = 0
+    m22 = _old_int_div(den, ai)
+    omega = f.omega()
+    one = f.one()
+    if pt.w1.scale(m11) + pt.w2.scale(m12) != omega:
+        raise WittkitError("level matrix row 1 does not reproduce tau_K")
+    if pt.w1.scale(m21) + pt.w2.scale(m22) != one:
+        raise WittkitError("level matrix row 2 does not reproduce 1")
+    det = m11 * m22 - m12 * m21
+    if det != a.norm():
+        raise WittkitError(f"level matrix determinant {det} != N(a) = {a.norm()}")
+    lm = LevelMatrix(
+        N=N,
+        entries=((m11 % N, m12 % N), (m21 % N, m22 % N)),
+        exact=((m11, m12), (m21, m22)),
+    )
+    _OLD_LM_CACHE[key] = lm
+    return lm
+
+
+def test_level_matrix_matches_the_old_cached_construction():
+    checked = 0
+    for _ in range(2):
+        for d in (-1, -2, -3, -5, -15, -23):
+            for a in enumerate_ideals(make_field(d), 60):
+                for N in range(1, 7):
+                    old = _old_level_matrix(a, N, 40)
+                    assert level_matrix(a, N, 40) == old
+                    assert cm_point(a, 40).matrix == old.exact
+                    checked += 1
+        modular.clear_caches()
+    assert checked > 2000
