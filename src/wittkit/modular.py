@@ -22,10 +22,11 @@ CM point tau of the inverse ideal with the exact matrix expressing (tau_K, 1)
 in the chosen lattice basis, which cm_point builds and checks once per ideal
 (level_matrix reduces it mod N); the result is a Witt vector with
 big-complex components.  The ideals a and n*a share a CM point, so the
-series (with its j and theta constants) is summed once per distinct numeric
-tau and precision, keyed by tau's bits: the numeric tau depends on the basis
-of the inverse ideal, not only on the point, so keying by the element w1/w2
-of K would let the first ideal enumerated decide another's guard digits.
+series (with its j, theta constants and Fricke values) is summed once per
+distinct numeric tau and precision, keyed by tau's bits: the numeric tau
+depends on the basis of the inverse ideal, not only on the point, so keying
+by the element w1/w2 of K would let the first ideal enumerated decide
+another's guard digits.
 The public eisenstein, j_invariant and fricke sum a fresh series on every
 call and serve as the uncached oracle.
 
@@ -170,8 +171,9 @@ class _Series:
 
     A pure function of tau's bits and prec, so CM vectors share one per
     distinct (tau, prec) (see _cm_series).  `j` is filled on first request,
-    after the Delta and j cross-checks, and `theta` on the first Fricke
-    request.
+    after the Delta and j cross-checks, `theta` on the first Fricke
+    request, and `fricke` maps (a, k) to the Fricke value on its first
+    request (see _cm_fricke).
     """
 
     tred: object
@@ -183,6 +185,7 @@ class _Series:
     delta: object
     j: object = None
     theta: _Theta | None = None
+    fricke: dict = dc_field(default_factory=dict)
 
 
 def _series(tau, prec) -> _Series:
@@ -508,15 +511,12 @@ class JFamily:
 @dataclass(frozen=True)
 class FrickeFamily:
     a: tuple[Fraction, Fraction]
-    k: int | None = None
     level: int = 0
 
     def __post_init__(self):
         a1, a2 = _a_pair(self.a)
         if a1 == 0 and a2 == 0:
             raise UsageError("Fricke family needs a nonzero index (a = 0 is JFamily)")
-        if self.k is not None and self.k not in (1, 2, 3):
-            raise UsageError(f"Fricke power must be 1, 2 or 3, got {self.k}")
         level = self.level or math.lcm(a1.denominator, a2.denominator)
         if a1.denominator > 1 and level % a1.denominator or a2.denominator > 1 and level % a2.denominator:
             raise UsageError(f"index {self.a} does not live at level {self.level}")
@@ -613,13 +613,6 @@ def char_family_from_ideal(a: IdealHNF) -> CharFamily:
 # Modular vectors
 
 
-def _resolve_power(family: FrickeFamily, d: int) -> int:
-    forced = fricke_power(d)
-    if family.k is not None and family.k != forced:
-        raise UsageError(f"Fricke power {family.k} conflicts with d = {d} (needs {forced})")
-    return forced
-
-
 def _cm_series(a: IdealHNF, prec: int) -> _Series:
     """The series at the CM point of a, summed once per distinct (tau, prec).
 
@@ -640,12 +633,22 @@ def _j_component(a: IdealHNF, prec: int):
     return _checked_j(_cm_series(a, prec), prec)
 
 
+def _cm_fricke(ser: _Series, am, k: int):
+    """_fricke_at(am, ser, k), computed once per series and (am, k): it is a
+    pure function of the three, so the stored value has the same bits."""
+    key = (am, k)
+    v = ser.fricke.get(key)
+    if v is None:
+        v = ser.fricke[key] = _fricke_at(am, ser, k)
+    return v
+
+
 def modular_vector(family, field: QuadField, bound: int, prec: int = DEFAULT_PREC) -> WittVector:
     """Evaluate the family at every integral ideal of norm <= bound."""
     if field.is_rational:
         raise UsageError("modular vectors live over imaginary quadratic fields")
     domain = BigComplex(prec)
-    keff = _resolve_power(family, field.d) if isinstance(family, FrickeFamily) else None
+    k = fricke_power(field.d)
     values = {}
     for b in enumerate_ideals(field, bound):
         if isinstance(family, JFamily):
@@ -657,7 +660,7 @@ def modular_vector(family, field: QuadField, bound: int, prec: int = DEFAULT_PRE
             if am == (0, 0):
                 values[b] = _j_component(b, prec)
             else:
-                values[b] = _fricke_at(am, _cm_series(b, prec), keff)
+                values[b] = _cm_fricke(_cm_series(b, prec), am, k)
         elif isinstance(family, CharFamily):
             lm = level_matrix(b, family.N, prec)
             with mpmath.workdps(prec + _GUARD):
@@ -767,17 +770,19 @@ def _random_sl2(rng: random.Random):
     return m
 
 
-def check_deformation_axiom2(family, samples: int = 6, prec: int = 60, seed: int = 20260823) -> Axiom2Report:
-    """Spot-check f_{a*u}(u**-1 tau) = f_a(tau) for u in SL2(Z); report only."""
+def check_deformation_axiom2(
+    family, samples: int = 6, prec: int = 60, seed: int = 20260823, k: int = 1
+) -> Axiom2Report:
+    """Spot-check f_{a*u}(u**-1 tau) = f_a(tau) for u in SL2(Z); report only.
+
+    k is the Fricke power (see fricke); a j family ignores it.
+    """
     if isinstance(family, CharFamily):
         raise UsageError("axiom check covers JFamily and FrickeFamily only")
     rng = random.Random(seed)
     mats = [((1, 1), (0, 1)), ((0, -1), (1, 0))]
     while len(mats) < samples:
         mats.append(_random_sl2(rng))
-    k = 1
-    if isinstance(family, FrickeFamily):
-        k = family.k or 1
     report = Axiom2Report(
         family=family.describe(),
         prec=prec,

@@ -906,6 +906,22 @@ def shift_partition(vectors: list[WittVector], ideals: list[IdealHNF]) -> list[i
     return pairwise_partition(len(ideals), lambda i, j: _shifts_equal(vectors, ideals[i], ideals[j], products))
 
 
+def _float_signature(vectors, a: IdealHNF) -> list[float] | None:
+    """float(Re) and float(Im) of xi(a) for each vector, or None when a lies
+    beyond some vector's bound or a coordinate is inf or nan."""
+    if any(a.norm() > xi.bound for xi in vectors):
+        return None
+    sig = []
+    for xi in vectors:
+        v = xi.value_at(a)
+        sig += (float(v.real), float(v.imag))
+    return sig if all(map(math.isfinite, sig)) else None
+
+
+def _floats_apart(s: list[float], t: list[float], slack: float) -> bool:
+    return any(abs(x - y) > slack + (abs(x) + abs(y)) * 2.0**-50 for x, y in zip(s, t))
+
+
 def shift_partitions(
     vectors: list[WittVector], ideals: list[IdealHNF], tol, loose
 ) -> tuple[list[int], list[int]]:
@@ -914,14 +930,33 @@ def shift_partitions(
     Both partitions are the components of "every component gap < tolerance",
     so each pair needs one gap scan, capped at loose, or at tol once the pair
     already shares a loose class; a pair sharing a tol class is skipped.  The
-    vectors' domains must measure gaps (BigComplex.gap).
+    vectors' domains must measure gaps (BigComplex.gap), and each vector must
+    hold a value at every ideal within its bound.
+
+    A pair (a, b) whose float signatures (_float_signature) differ in some
+    coordinate by |x - y| > 2*float(loose) + (|x| + |y|)*2^-50 + 2^-1000 is
+    skipped without a scan.  This is exact: the scan compares xi(a) with
+    xi(b) at c = O_K, where the gap is at least |Re or Im of xi(a) - xi(b)|,
+    and float() of an mpf errs by at most |X|*2^-52 + 2^-1074 under any
+    rounding mode, so after every float rounding (float(loose) included,
+    even when it underflows to 0) that coordinate of xi(a) - xi(b) still
+    exceeds 1.99*loose + 2^-1001, far beyond the rounding of the gap
+    itself.  The scan would therefore have found a gap >= loose and joined
+    neither partition; the union-find components and their
+    first-appearance labels are unchanged.  A pair with a missing
+    signature (a norm above some bound, or a coordinate inf or nan) is
+    scanned as before, so BoundExhaustedError is raised at the same pair.
     """
     n = len(ideals)
     strict, wide = _UnionFind(n), _UnionFind(n)
     products: dict = {}
+    sigs = [_float_signature(vectors, a) for a in ideals]
+    slack = 2 * float(loose) + 2.0**-1000
     for i in range(n):
         for j in range(i + 1, n):
             if strict.find(i) == strict.find(j):
+                continue
+            if sigs[i] is not None and sigs[j] is not None and _floats_apart(sigs[i], sigs[j], slack):
                 continue
             joined = wide.find(i) == wide.find(j)
             g = _shift_gap(vectors, ideals[i], ideals[j], products, tol if joined else loose)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wittkit import modular, rayclass
+from wittkit import cli, modular, rayclass
 from wittkit.errors import PrecisionError, UsageError, WittkitError
 from wittkit.modular import (
     Axiom2Report,
@@ -294,8 +294,6 @@ def test_fricke_family_validation():
         FrickeFamily((Fraction(0), Fraction(3)))
     fam = FrickeFamily((Fraction(1, 2), Fraction(1, 3)))
     assert fam.level == 6
-    with pytest.raises(UsageError):
-        modular_vector(FrickeFamily((Fraction(1, 2), Fraction(0)), k=1), K1, 5, 40)
 
 
 def test_axiom2_j_and_fricke():
@@ -308,6 +306,14 @@ def test_axiom2_j_and_fricke():
     assert rep2.entries[1]["u"] == ((0, -1), (1, 0))
     with pytest.raises(UsageError):
         check_deformation_axiom2(CharFamily(1, frozenset({((0, 0), (0, 0))})), samples=2, prec=40)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_axiom2_takes_the_fricke_power(k):
+    fam = FrickeFamily((Fraction(1, 3), Fraction(0)))
+    assert check_deformation_axiom2(fam, samples=3, prec=50, k=k).passed
+    with pytest.raises(UsageError):
+        check_deformation_axiom2(fam, samples=2, prec=40, k=4)
 
 
 def test_eisenstein_rejects_lower_half_plane():
@@ -422,6 +428,33 @@ def test_series_summed_once_per_distinct_tau(monkeypatch):
     assert set(modular._SERIES_CACHE) == {(tau, 120) for tau in taus}
     for ser in modular._SERIES_CACHE.values():
         assert modular._checked_j(replace(ser, j=None), 120)._mpc_ == ser.j._mpc_
+    modular.clear_caches()
+
+
+@pytest.mark.parametrize("d", [-1, -3, -5, -15])
+def test_fricke_value_computed_once_per_series_and_index(d, monkeypatch):
+    """Components with one series and one reduced index share one _fricke_at
+    call, and each keeps the bits of the public fricke, which sums a fresh
+    series."""
+    K, prec = make_field(d), 120
+    computed = Counter()
+    real = modular._fricke_at
+
+    def counting(am, ser, k):
+        computed[id(ser), am, k] += 1
+        return real(am, ser, k)
+
+    monkeypatch.setattr(modular, "_fricke_at", counting)
+    modular.clear_caches()
+    pairs = [p for N in (2, 3) for p in zip(level_families(N), level_family_vectors(K, N, 30, prec))]
+    assert computed and max(computed.values()) == 1
+    monkeypatch.undo()
+    memo = {}
+    for fam, xi in pairs:
+        if isinstance(fam, FrickeFamily):
+            for b in xi.ideals():
+                expect = _uncached_component(fam, b, prec, memo)
+                assert xi.value_at(b)._mpc_ == expect._mpc_, (fam, b)
     modular.clear_caches()
 
 
@@ -601,6 +634,22 @@ def test_modularity_check_verdicts_agree_across_precisions(d):
     low, high = (modularity_check(K, 2, 20, prec) for prec in (60, 100))
     for key in ("shift_classes", "ray_classes", "mismatches", "passed"):
         assert low[key] == high[key], key
+
+
+# Canonical sha256 (cli._sha256) of modularity_check at prec 120 for each
+# of cli.DESK_CHECK_TRIPLES, recorded before the float prune of shift pairs
+# and the shared Fricke values; both must leave every payload byte-identical.
+_DESK_PAYLOAD_SHA256 = {
+    (-1, 2, 60): "57b4652cc25201fae163ff2d585be7e4148a10919a593222f962818bce3cd8e9",
+    (-5, 1, 60): "195da6b54fcccf1eaaedb242cf8f612f4e5a013d8729abe8f8a717aae2607f21",
+    (-3, 2, 40): "35e3e1ad9c5ab772bf01805a550466c831bd192d19a29729db9aafeca776aeb1",
+}
+
+
+def test_desk_check_payloads_are_pinned():
+    assert set(_DESK_PAYLOAD_SHA256) == set(cli.DESK_CHECK_TRIPLES)
+    for (d, level, bound), digest in _DESK_PAYLOAD_SHA256.items():
+        assert cli._sha256(modularity_check(make_field(d), level, bound, 120)) == digest, d
 
 
 _OLD_LM_CACHE: dict = {}

@@ -12,6 +12,7 @@ from wittkit import witt
 from wittkit.cyclotomic import cyclo_context
 from wittkit.domains import BigComplex, ExactCyclotomic
 from wittkit.errors import BoundExhaustedError, UsageError
+from wittkit.modular import clear_caches, level_family_vectors
 from wittkit.qfield import IdealHNF, enumerate_ideals, ideal_mul, make_field, unit_ideal
 from wittkit.witt import (
     WittVector,
@@ -432,6 +433,129 @@ def test_shift_partitions_chain_is_transitive_closure():
     ideals = enumerate_ideals(Q, 3)
     assert not domain.eq_strict(vals[ideals[0]], vals[ideals[2]], tol)
     assert shift_partitions([xi], ideals, tol, tol * 10) == ([0, 0, 0], [0, 0, 0])
+
+
+def _unpruned_shift_partitions(vectors, ideals, tol, loose):
+    """shift_partitions before the float prune: every pair not yet in one tol
+    class gets a gap scan.  The oracle for the pruned version."""
+    n = len(ideals)
+    strict, wide = witt._UnionFind(n), witt._UnionFind(n)
+    products: dict = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if strict.find(i) == strict.find(j):
+                continue
+            joined = wide.find(i) == wide.find(j)
+            g = witt._shift_gap(vectors, ideals[i], ideals[j], products, tol if joined else loose)
+            if g < tol:
+                strict.union(i, j)
+            if g < loose and not joined:
+                wide.union(i, j)
+    return strict.labels(), wide.labels()
+
+
+def _desk_tolerances(prec):
+    """tol and loose as modularity_check sets them."""
+    with mpmath.workdps(prec + 15):
+        tol = mpmath.mpf(10) ** -(prec // 3)
+        return tol, tol * 10
+
+
+@pytest.mark.parametrize("d", [-1, -2, -3, -5, -15, -23])
+def test_pruned_shift_partitions_match_unpruned_on_level_families(d):
+    field = make_field(d)
+    ideals = enumerate_ideals(field, 24)
+    clear_caches()
+    for prec in (60, 120):
+        tol, loose = _desk_tolerances(prec)
+        for N in (1, 2, 3):
+            vectors = level_family_vectors(field, N, 24, prec)
+            expect = _unpruned_shift_partitions(vectors, ideals, tol, loose)
+            assert shift_partitions(vectors, ideals, tol, loose) == expect, (prec, N)
+    clear_caches()
+
+
+def _count_shift_gaps(monkeypatch) -> Counter:
+    calls = Counter()
+    real = witt._shift_gap
+
+    def counting(*args):
+        calls["scans"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(witt, "_shift_gap", counting)
+    return calls
+
+
+# Steps between consecutive components, in units of loose: around loose,
+# on both sides of the prune's 2*loose, and one far step.
+_PRUNE_STEPS = [
+    Fraction(1, 20),
+    Fraction(1, 2),
+    Fraction(1),
+    Fraction(2),
+    2 * (1 - Fraction(1, 2**40)),
+    2 * (1 + Fraction(1, 2**40)),
+    Fraction(3),
+    Fraction(10**40),
+]
+
+
+@pytest.mark.parametrize(
+    "prec, magnitude, pruned",
+    [
+        (30, "0", True),
+        (30, "1", True),
+        (30, "1e6", True),
+        # 1e8 + 2^-27 - loose/5: a float rounding boundary splits steps below loose
+        (30, "100000000.000000007250580596923828125", True),
+        (600, "1e300", False),  # |x| * 2^-50 dwarfs every step but the far one
+        (1260, "1e400", False),  # float(x) is inf
+        (960, "0", True),  # subnormal floats; only the far step clears 2^-1000
+        (990, "0", True),  # float(loose) is 0
+        (975, "6.9e-324", True),  # float(loose) is 0; steps below loose round a subnormal unit apart
+    ],
+)
+@pytest.mark.parametrize("unit", [(1, 0), (0, 1)])
+def test_float_prune_keeps_partitions(prec, magnitude, pruned, unit, monkeypatch):
+    """Components of norm > B/2 compare only at c = O_K, so each pair's gap is
+    the difference of two components: k*loose for the steps k above."""
+    tol, loose = _desk_tolerances(prec)
+    bound = 2 * (len(_PRUNE_STEPS) + 1)
+    ideals = enumerate_ideals(Q, bound)[bound // 2 :]
+    with mpmath.workdps(3 * prec + 1000):
+        pos, values = Fraction(0), {}
+        m = mpmath.mpf(magnitude)
+        for a, step in zip(ideals, [Fraction(0)] + _PRUNE_STEPS):
+            pos += step
+            values[a] = mpmath.mpc(m, -m) + mpmath.mpc(*unit) * pos.numerator * loose / pos.denominator
+        for a in enumerate_ideals(Q, bound // 2):
+            values[a] = mpmath.mpc(0)
+    xi = WittVector(Q, BigComplex(prec), bound, values=values)
+    calls = _count_shift_gaps(monkeypatch)
+    expect = _unpruned_shift_partitions([xi], ideals, tol, loose)
+    unpruned_scans = calls["scans"]
+    calls.clear()
+    assert shift_partitions([xi], ideals, tol, loose) == expect
+    assert expect[1] != list(range(len(ideals)))  # some steps below loose join
+    assert (calls["scans"] < unpruned_scans) == pruned
+
+
+def test_pruned_pairs_need_no_gap_scan(monkeypatch):
+    """On the d = -5 level-1 desk triple only the 81 pairs whose floats agree
+    are scanned; the unpruned pass scans 1,803."""
+    field = make_field(-5)
+    ideals = enumerate_ideals(field, 60)
+    tol, loose = _desk_tolerances(60)
+    clear_caches()
+    vectors = level_family_vectors(field, 1, 60, 60)
+    calls = _count_shift_gaps(monkeypatch)
+    labels = shift_partitions(vectors, ideals, tol, loose)
+    assert calls["scans"] == 81
+    calls.clear()
+    assert _unpruned_shift_partitions(vectors, ideals, tol, loose) == labels
+    assert calls["scans"] == 1803
+    clear_caches()
 
 
 def _count_products(monkeypatch):
