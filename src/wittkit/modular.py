@@ -22,11 +22,10 @@ CM point tau of the inverse ideal with the exact matrix expressing (tau_K, 1)
 in the chosen lattice basis, which cm_point builds and checks once per ideal
 (level_matrix reduces it mod N); the result is a Witt vector with
 big-complex components.  The ideals a and n*a share a CM point, so the
-series (with its j, theta constants and Fricke values) is summed once per
-distinct numeric tau and precision, keyed by tau's bits: the numeric tau
-depends on the basis of the inverse ideal, not only on the point, so keying
-by the element w1/w2 of K would let the first ideal enumerated decide
-another's guard digits.
+series (with its j and theta constants) is summed once per distinct numeric
+tau and precision, keyed by tau's bits: the numeric tau depends on the basis
+of the inverse ideal, not only on the point, so keying by the element w1/w2
+of K would let the first ideal enumerated decide another's guard digits.
 The public eisenstein, j_invariant and fricke sum a fresh series on every
 call and serve as the uncached oracle.
 
@@ -171,9 +170,8 @@ class _Series:
 
     A pure function of tau's bits and prec, so CM vectors share one per
     distinct (tau, prec) (see _cm_series).  `j` is filled on first request,
-    after the Delta and j cross-checks, `theta` on the first Fricke
-    request, and `fricke` maps (a, k) to the Fricke value on its first
-    request (see _cm_fricke).
+    after the Delta and j cross-checks, and `theta` on the first Fricke
+    request.
     """
 
     tred: object
@@ -185,7 +183,6 @@ class _Series:
     delta: object
     j: object = None
     theta: _Theta | None = None
-    fricke: dict = dc_field(default_factory=dict)
 
 
 def _series(tau, prec) -> _Series:
@@ -633,16 +630,6 @@ def _j_component(a: IdealHNF, prec: int):
     return _checked_j(_cm_series(a, prec), prec)
 
 
-def _cm_fricke(ser: _Series, am, k: int):
-    """_fricke_at(am, ser, k), computed once per series and (am, k): it is a
-    pure function of the three, so the stored value has the same bits."""
-    key = (am, k)
-    v = ser.fricke.get(key)
-    if v is None:
-        v = ser.fricke[key] = _fricke_at(am, ser, k)
-    return v
-
-
 def modular_vector(family, field: QuadField, bound: int, prec: int = DEFAULT_PREC) -> WittVector:
     """Evaluate the family at every integral ideal of norm <= bound."""
     if field.is_rational:
@@ -660,7 +647,7 @@ def modular_vector(family, field: QuadField, bound: int, prec: int = DEFAULT_PRE
             if am == (0, 0):
                 values[b] = _j_component(b, prec)
             else:
-                values[b] = _cm_fricke(_cm_series(b, prec), am, k)
+                values[b] = _fricke_at(am, _cm_series(b, prec), k)
         elif isinstance(family, CharFamily):
             lm = level_matrix(b, family.N, prec)
             with mpmath.workdps(prec + _GUARD):
@@ -770,12 +757,10 @@ def _random_sl2(rng: random.Random):
     return m
 
 
-def check_deformation_axiom2(
-    family, samples: int = 6, prec: int = 60, seed: int = 20260823, k: int = 1
-) -> Axiom2Report:
+def check_deformation_axiom2(family, samples: int = 6, prec: int = 60, seed: int = 20260823) -> Axiom2Report:
     """Spot-check f_{a*u}(u**-1 tau) = f_a(tau) for u in SL2(Z); report only.
 
-    k is the Fricke power (see fricke); a j family ignores it.
+    Fricke families are checked at power 1.
     """
     if isinstance(family, CharFamily):
         raise UsageError("axiom check covers JFamily and FrickeFamily only")
@@ -802,8 +787,8 @@ def check_deformation_axiom2(
         else:
             a1, a2 = family.a
             au = ((a1 * ua + a2 * uc) % 1, (a1 * ub + a2 * ud) % 1)
-            lhs = fricke(au, tau_inv, k, prec)
-            rhs = fricke(family.a, tau, k, prec)
+            lhs = fricke(au, tau_inv, 1, prec)
+            rhs = fricke(family.a, tau, 1, prec)
         with mpmath.workdps(prec + _GUARD):
             res = float(abs(lhs - rhs))
         report.n_checks += 1

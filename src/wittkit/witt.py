@@ -946,6 +946,8 @@ def shift_partitions(
     first-appearance labels are unchanged.  A pair with a missing
     signature (a norm above some bound, or a coordinate inf or nan) is
     scanned as before, so BoundExhaustedError is raised at the same pair.
+    The skip reads floats because the same test by BigComplex.gap at
+    c = O_K costs about as much as the scans it saves.
     """
     n = len(ideals)
     strict, wide = _UnionFind(n), _UnionFind(n)

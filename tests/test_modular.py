@@ -308,14 +308,6 @@ def test_axiom2_j_and_fricke():
         check_deformation_axiom2(CharFamily(1, frozenset({((0, 0), (0, 0))})), samples=2, prec=40)
 
 
-@pytest.mark.parametrize("k", [2, 3])
-def test_axiom2_takes_the_fricke_power(k):
-    fam = FrickeFamily((Fraction(1, 3), Fraction(0)))
-    assert check_deformation_axiom2(fam, samples=3, prec=50, k=k).passed
-    with pytest.raises(UsageError):
-        check_deformation_axiom2(fam, samples=2, prec=40, k=4)
-
-
 def test_eisenstein_rejects_lower_half_plane():
     with pytest.raises(UsageError):
         eisenstein(mpmath.mpc(0, -1), 40)
@@ -428,33 +420,6 @@ def test_series_summed_once_per_distinct_tau(monkeypatch):
     assert set(modular._SERIES_CACHE) == {(tau, 120) for tau in taus}
     for ser in modular._SERIES_CACHE.values():
         assert modular._checked_j(replace(ser, j=None), 120)._mpc_ == ser.j._mpc_
-    modular.clear_caches()
-
-
-@pytest.mark.parametrize("d", [-1, -3, -5, -15])
-def test_fricke_value_computed_once_per_series_and_index(d, monkeypatch):
-    """Components with one series and one reduced index share one _fricke_at
-    call, and each keeps the bits of the public fricke, which sums a fresh
-    series."""
-    K, prec = make_field(d), 120
-    computed = Counter()
-    real = modular._fricke_at
-
-    def counting(am, ser, k):
-        computed[id(ser), am, k] += 1
-        return real(am, ser, k)
-
-    monkeypatch.setattr(modular, "_fricke_at", counting)
-    modular.clear_caches()
-    pairs = [p for N in (2, 3) for p in zip(level_families(N), level_family_vectors(K, N, 30, prec))]
-    assert computed and max(computed.values()) == 1
-    monkeypatch.undo()
-    memo = {}
-    for fam, xi in pairs:
-        if isinstance(fam, FrickeFamily):
-            for b in xi.ideals():
-                expect = _uncached_component(fam, b, prec, memo)
-                assert xi.value_at(b)._mpc_ == expect._mpc_, (fam, b)
     modular.clear_caches()
 
 
@@ -637,8 +602,8 @@ def test_modularity_check_verdicts_agree_across_precisions(d):
 
 
 # Canonical sha256 (cli._sha256) of modularity_check at prec 120 for each
-# of cli.DESK_CHECK_TRIPLES, recorded before the float prune of shift pairs
-# and the shared Fricke values; both must leave every payload byte-identical.
+# of cli.DESK_CHECK_TRIPLES, recorded before the float prune of shift pairs,
+# which must leave every payload byte-identical.
 _DESK_PAYLOAD_SHA256 = {
     (-1, 2, 60): "57b4652cc25201fae163ff2d585be7e4148a10919a593222f962818bce3cd8e9",
     (-5, 1, 60): "195da6b54fcccf1eaaedb242cf8f612f4e5a013d8729abe8f8a717aae2607f21",
