@@ -330,37 +330,21 @@ def _cluster_values(xi: WittVector):
     return reps, dict(zip(xi.ideals(), labels))
 
 
-def _quadratic_roots(coeffs, dps):
-    c0, c1, c2 = [mpmath.mpf(c) for c in coeffs]
-    with mpmath.workdps(dps):
-        disc = mpmath.sqrt(mpmath.mpc(c1 * c1 - 4 * c0 * c2))
-        return ((-c1 + disc) / (2 * c2), (-c1 - disc) / (2 * c2))
-
-
 def _certify_shared_poly(xi, reps, assign, poly, prec):
-    """All distinct values are roots of one polynomial of degree <= 2."""
-    deg = poly.degree
+    """All distinct values are roots of one polynomial P.
+
+    The first value is the generator of Q[x]/(P).  Any other value must lie
+    within 10^(-prec/2) of trace - reps[0], the other root of a quadratic
+    P, and maps to trace - gen.
+    """
     with mpmath.workdps(prec + 15):
-        if deg == 1:
-            val = Fraction(-poly.coeffs[0], poly.coeffs[1])
-            nf = ExactNumberField(list(poly.coeffs), mpmath.mpf(val.numerator) / val.denominator, prec)
-            images = [nf.gen() for _ in reps]
-        else:
-            r1, r2 = _quadratic_roots(poly.coeffs, prec + 15)
-            nf = ExactNumberField(list(poly.coeffs), r1, prec)
-            lead = Fraction(poly.coeffs[2])
-            trace = Fraction(-poly.coeffs[1]) / lead
-            other = nf.add(nf.from_fraction(trace), nf.scale(nf.gen(), -1))
-            images = []
-            tol = mpmath.mpf(10) ** (-prec // 2)
-            for v in reps:
-                d1, d2 = abs(v - r1), abs(v - r2)
-                if d1 < tol and (d2 > 10 * tol or d1 < d2):
-                    images.append(nf.gen())
-                elif d2 < tol:
-                    images.append(other)
-                else:
-                    return None, None, "value does not match either root of its polynomial"
+        nf = ExactNumberField(list(poly.coeffs), reps[0], prec)
+        trace = Fraction(-poly.coeffs[-2], poly.coeffs[-1])
+        conjugate = mpmath.mpf(trace.numerator) / trace.denominator - reps[0]
+        tol = mpmath.mpf(10) ** (-prec // 2)
+        if any(abs(v - conjugate) >= tol for v in reps[1:]):
+            return None, None, "value does not match either root of its polynomial"
+        images = [nf.gen()] + [nf.sub(nf.from_fraction(trace), nf.gen())] * (len(reps) - 1)
         values = {a: images[assign[a]] for a in xi.ideals()}
         vec = WittVector(xi.field, nf, xi.bound, values=values)
         return nf, vec, ""
@@ -430,15 +414,7 @@ def certify_vector(xi: WittVector, dmax: int = 16) -> CertifyReport:
         polys.append(p)
     distinct = sorted({p.coeffs for p in polys})
     if len(distinct) == 1 and (polys[0].degree <= 2 or len(reps) == 1):
-        if polys[0].degree > 2:
-            # single value: it is the distinguished root of its own polynomial
-            with mpmath.workdps(prec + 15):
-                nf = ExactNumberField(list(polys[0].coeffs), reps[0], prec)
-                values = {a: nf.gen() for a in xi.ideals()}
-                vec = WittVector(xi.field, nf, xi.bound, values=values)
-                note = ""
-        else:
-            nf, vec, note = _certify_shared_poly(xi, reps, assign, polys[0], prec)
+        nf, vec, note = _certify_shared_poly(xi, reps, assign, polys[0], prec)
     else:
         nf, vec, note = _certify_compositum(xi, reps, assign, polys, dmax, prec)
     if nf is None:
@@ -491,10 +467,3 @@ def _common_den(fac):
     for c in _ascending_fracs(fac):
         den = den * c.denominator // math.gcd(den, c.denominator)
     return den
-
-
-def exact_divisibility(nf: ExactNumberField, x, t) -> bool:
-    """Whether x/t is an algebraic integer, decided by its exact charpoly."""
-    if all(c == 0 for c in x):
-        return True
-    return nf.div_prime(x, t) is not None

@@ -244,9 +244,9 @@ def check_bridy(vectors: list[WittVector], prime_norm_bound: int) -> BridyReport
     )
 
 
-def run(a: Dfao, word: list[IdealHNF], which: int = 0, allow_extrapolation: bool = False):
-    """Output after reading the word; refuses to leave the certified range."""
-    if a.bound is not None and not allow_extrapolation:
+def run(a: Dfao, word: list[IdealHNF]):
+    """First output row after reading the word; refuses to leave the certified range."""
+    if a.bound is not None:
         norm = 1
         for p in word:
             norm *= int(p.norm())
@@ -257,7 +257,7 @@ def run(a: Dfao, word: list[IdealHNF], which: int = 0, allow_extrapolation: bool
     s = a.initial
     for p in word:
         s = a.step(s, a.letter_index(p))
-    return a.outputs[which][s]
+    return a.outputs[0][s]
 
 
 def _output_label(dom, value) -> str:
@@ -275,13 +275,13 @@ def _output_label(dom, value) -> str:
     return str(value)[:24]
 
 
-def export_dot(a: Dfao, which: int = 0) -> str:
-    """Graphviz source; states are in BFS first-reach order for stable output."""
+def export_dot(a: Dfao) -> str:
+    """Graphviz source of the first output row; states in BFS first-reach order."""
     lines = ["digraph dfao {", "  rankdir=LR;", '  start [shape=point, label=""];']
-    dom = a.domains[which]
+    dom = a.domains[0]
     for s in range(a.n_states):
         lines.append(
-            f'  s{s} [shape=circle, label="{s}\\n{_output_label(dom, a.outputs[which][s])}"];'
+            f'  s{s} [shape=circle, label="{s}\\n{_output_label(dom, a.outputs[0][s])}"];'
         )
     lines.append(f"  start -> s{a.initial};")
     for s in range(a.n_states):

@@ -3,9 +3,8 @@
 Three kinds: ExactCyclotomic (canonical cyclotomic arithmetic, decidable
 equality), ExactNumberField (Q[x]/(P) with a distinguished complex root),
 and BigComplex (mpmath at a fixed working precision; eq is gap < tol, with
-tol = 10^(-prec/2) fixed at construction, and eq_strict takes an explicit
-tolerance).  The exact domains certify integrality and divisibility;
-BigComplex refuses to, loudly.
+tol = 10^(-prec/2) fixed at construction).  The exact domains certify
+integrality and divisibility; BigComplex refuses to, loudly.
 """
 
 from __future__ import annotations
@@ -135,9 +134,6 @@ class BigComplex:
         with mpmath.workdps(self.workdps):
             return abs(mpmath.mpc(x) - mpmath.mpc(y))
 
-    def eq_strict(self, x, y, tol) -> bool:
-        return self.gap(x, y) < tol
-
     def add(self, x, y):
         with mpmath.workdps(self.workdps):
             return x + y
@@ -208,9 +204,7 @@ class ExactNumberField:
 
     P comes in as an integer coefficient list (low degree first) and is made
     monic over Q internally.  Elements are coefficient tuples of length
-    deg(P).  An optional certified image of omega embeds an imaginary
-    quadratic field; attach it with set_omega_image, which verifies the
-    defining relation exactly.
+    deg(P).
     """
 
     exact = True
@@ -238,8 +232,6 @@ class ExactNumberField:
             r = r + [Fraction(0)] * (self.deg - len(r))
             self._high.append(tuple(r))
             cur = [Fraction(0)] + list(cur)
-        self.omega_image = None
-        self._omega_field = None
 
     def __repr__(self):
         return f"ExactNumberField(deg={self.deg})"
@@ -326,32 +318,15 @@ class ExactNumberField:
     def is_algebraic_integer(self, x) -> bool:
         return all(c.denominator == 1 for c in self.charpoly(x))
 
-    def embed_field_element(self, t):
-        """Image of a QuadElement under the attached embedding of K."""
-        if _rational_integer(t) is not None:
-            return self.from_fraction(Fraction(t.x) if hasattr(t, "x") else Fraction(t))
-        if self.omega_image is None:
-            raise UsageError("no embedding of K attached to this number field")
-        if self._omega_field is None or self._omega_field.d != t.field.d:
-            raise UsageError("embedding attached for a different field")
-        return self.add(self.from_fraction(t.x), self.scale(self.omega_image, t.y))
-
-    def set_omega_image(self, field, elt) -> None:
-        """Attach omega -> elt after verifying omega^2 = s*omega + t exactly."""
-        lhs = self.mul(elt, elt)
-        rhs = self.add(self.scale(elt, field.omega_s), self.from_fraction(field.omega_t))
-        if not self.eq(lhs, rhs):
-            raise UsageError("claimed omega image fails the defining relation")
-        self.omega_image = elt
-        self._omega_field = field
-
     def div_prime(self, x, t):
-        """x / t when the quotient is an algebraic integer, else None."""
+        """x / t when the quotient is an algebraic integer, else None.
+
+        t must be a rational integer: this domain holds no embedding of K.
+        """
         n = _rational_integer(t)
-        if n is not None:
-            q = self.scale(x, Fraction(1, n))
-        else:
-            q = self.mul(x, self.inverse(self.embed_field_element(t)))
+        if n is None:
+            raise UsageError("no embedding of K attached to this number field")
+        q = self.scale(x, Fraction(1, n))
         return q if self.is_algebraic_integer(q) else None
 
     def numeric(self, x, prec: int | None = None):

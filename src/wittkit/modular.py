@@ -18,9 +18,9 @@ domain by SL2(Z); weight factors (for g2, g3, Delta) and the Fricke index a
 
 A deformation family (j, a Fricke index, or a characteristic subset of
 M2(Z/N)) is evaluated at every integral ideal a of norm <= B by pairing the
-CM point tau of the inverse ideal with the exact matrix expressing (tau_K, 1)
+CM point tau of the inverse ideal with the exact matrix expressing (omega, 1)
 in the chosen lattice basis, which cm_point builds and checks once per ideal
-(level_matrix reduces it mod N); the result is a Witt vector with
+(characteristic families read it mod N); the result is a Witt vector with
 big-complex components.  The ideals a and n*a share a CM point, so the
 series (with its j and theta constants) is summed once per distinct numeric
 tau and precision, keyed by tau's bits: the numeric tau depends on the basis
@@ -72,7 +72,7 @@ def _frac_mpf(x):
 
 
 def omega_numeric(field: QuadField):
-    """tau_K = omega as an mpc at the current working precision."""
+    """omega, the CM point of O_K, as an mpc at the current working precision."""
     if field.is_rational:
         raise UsageError("the rational field has no CM point")
     root = mpmath.sqrt(-field.disc)
@@ -366,6 +366,13 @@ def _a_pair(a) -> tuple[Fraction, Fraction]:
     return (Fraction(a1) % 1, Fraction(a2) % 1)
 
 
+def _transport(a, m) -> tuple[Fraction, Fraction]:
+    """The Fricke index a carried along the integer matrix m: the row vector a*m mod 1."""
+    a1, a2 = a
+    (m11, m12), (m21, m22) = m
+    return ((a1 * m11 + a2 * m21) % 1, (a1 * m12 + a2 * m22) % 1)
+
+
 def fricke(a, tau, k: int = 1, prec: int = DEFAULT_PREC):
     """f_a(tau) = (g2*g3/Delta) * wp(a1*tau + a2)^1, with the k = 2, 3 variants
     (g2^2/Delta)*wp^2 and (g3/Delta)*wp^3 used for the extra-unit fields."""
@@ -379,10 +386,8 @@ def fricke(a, tau, k: int = 1, prec: int = DEFAULT_PREC):
 
 def _fricke_at(a, ser: _Series, k: int):
     """fricke() on a series already summed; a is a nonzero pair reduced mod 1."""
-    a1, a2 = a
     p, q_, r, s = ser.g
-    b1 = (a1 * s - a2 * r) % 1
-    b2 = (-a1 * q_ + a2 * p) % 1
+    b1, b2 = _transport(a, ((s, -q_), (-r, p)))
     with mpmath.workdps(ser.dps):
         z = _frac_mpf(b1) * ser.tred + _frac_mpf(b2)
         _, w = _reduce_z(z, ser.tred, ser.dps)
@@ -412,7 +417,7 @@ def fricke_power(d: int) -> int:
 @dataclass(frozen=True)
 class CmPoint:
     """tau = w1/w2 for a basis (w1, w2) of the inverse ideal, and the exact
-    integer matrix writing (tau_K, 1) in that basis (det = N(a))."""
+    integer matrix writing (omega, 1) in that basis (det = N(a))."""
 
     ideal: IdealHNF
     w1: QuadElement
@@ -456,7 +461,7 @@ def cm_point(a: IdealHNF, prec: int = DEFAULT_PREC) -> CmPoint:
     m11, m12 = _int_div(den, ci), -_int_div(den * bi, ci * ai)
     m21, m22 = 0, _int_div(den, ai)
     if w1.scale(m11) + w2.scale(m12) != f.omega():
-        raise WittkitError("level matrix row 1 does not reproduce tau_K")
+        raise WittkitError("level matrix row 1 does not reproduce omega")
     if w1.scale(m21) + w2.scale(m22) != f.one():
         raise WittkitError("level matrix row 2 does not reproduce 1")
     det = m11 * m22 - m12 * m21
@@ -469,28 +474,6 @@ def cm_point(a: IdealHNF, prec: int = DEFAULT_PREC) -> CmPoint:
     pt = CmPoint(a, w1, w2, tau, prec, ((m11, m12), (m21, m22)))
     _CM_CACHE[key] = pt
     return pt
-
-
-@dataclass(frozen=True)
-class LevelMatrix:
-    """Integer matrix writing (tau_K, 1) in the basis (w1, w2) of the inverse ideal."""
-
-    N: int
-    entries: tuple[tuple[int, int], tuple[int, int]]
-    exact: tuple[tuple[int, int], tuple[int, int]]
-
-    @property
-    def det_exact(self) -> int:
-        (a, b), (c, d) = self.exact
-        return a * d - b * c
-
-
-def level_matrix(a: IdealHNF, N: int, prec: int = DEFAULT_PREC) -> LevelMatrix:
-    """The CM point's exact matrix, with its entries reduced mod N."""
-    if N < 1:
-        raise UsageError(f"level must be >= 1, got {N}")
-    exact = cm_point(a, prec).matrix
-    return LevelMatrix(N=N, entries=tuple(tuple(m % N for m in row) for row in exact), exact=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +563,7 @@ def _local_generator(a: IdealHNF) -> QuadElement:
 
 
 def q_tau_matrix(s: QuadElement) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Integer matrix of multiplication by s in the basis (tau_K, 1) of O_K."""
+    """Integer matrix of multiplication by s in the basis (omega, 1) of O_K."""
     f = s.field
     x, y = s.x, s.y
     if x.denominator != 1 or y.denominator != 1:
@@ -641,17 +624,15 @@ def modular_vector(family, field: QuadField, bound: int, prec: int = DEFAULT_PRE
         if isinstance(family, JFamily):
             values[b] = _j_component(b, prec)
         elif isinstance(family, FrickeFamily):
-            (m11, m12), (m21, m22) = cm_point(b, prec).matrix
-            a1, a2 = family.a
-            am = ((a1 * m11 + a2 * m21) % 1, (a1 * m12 + a2 * m22) % 1)
+            am = _transport(family.a, cm_point(b, prec).matrix)
             if am == (0, 0):
                 values[b] = _j_component(b, prec)
             else:
                 values[b] = _fricke_at(am, _cm_series(b, prec), k)
         elif isinstance(family, CharFamily):
-            lm = level_matrix(b, family.N, prec)
+            entries = tuple(tuple(m % family.N for m in row) for row in cm_point(b, prec).matrix)
             with mpmath.workdps(prec + _GUARD):
-                values[b] = mpmath.mpc(1 if lm.entries in family.S else 0)
+                values[b] = mpmath.mpc(1 if entries in family.S else 0)
         else:
             raise UsageError(f"unknown deformation family {family!r}")
     return WittVector(field, domain, bound, values=values)
@@ -785,9 +766,7 @@ def check_deformation_axiom2(family, samples: int = 6, prec: int = 60, seed: int
             lhs = j_invariant(tau_inv, prec)
             rhs = j_invariant(tau, prec)
         else:
-            a1, a2 = family.a
-            au = ((a1 * ua + a2 * uc) % 1, (a1 * ub + a2 * ud) % 1)
-            lhs = fricke(au, tau_inv, 1, prec)
+            lhs = fricke(_transport(family.a, u), tau_inv, 1, prec)
             rhs = fricke(family.a, tau, 1, prec)
         with mpmath.workdps(prec + _GUARD):
             res = float(abs(lhs - rhs))

@@ -72,12 +72,6 @@ class QuadField:
     def omega(self) -> "QuadElement":
         return QuadElement(self, Fraction(0), Fraction(1))
 
-    def tau_K(self) -> "QuadElement":
-        """The standard CM point: O_K = Z*tau_K + Z with tau_K in the upper half plane."""
-        if self.is_rational:
-            raise UsageError("tau_K is undefined for the rational field")
-        return self.omega()
-
     def one(self) -> "QuadElement":
         return QuadElement(self, Fraction(1), Fraction(0))
 

@@ -897,15 +897,6 @@ def pairwise_partition(n: int, same) -> list[int]:
     return uf.labels()
 
 
-def shift_partition(vectors: list[WittVector], ideals: list[IdealHNF]) -> list[int]:
-    """Labels for the partition of the given ideals by the domains' equality.
-
-    shift_partitions takes explicit tolerances.
-    """
-    products: dict = {}
-    return pairwise_partition(len(ideals), lambda i, j: _shifts_equal(vectors, ideals[i], ideals[j], products))
-
-
 def _float_signature(vectors, a: IdealHNF) -> list[float] | None:
     """float(Re) and float(Im) of xi(a) for each vector, or None when a lies
     beyond some vector's bound or a coordinate is inf or nan."""
@@ -1017,12 +1008,9 @@ class ComponentReport:
         }
 
 
-def component_report(
-    xi: WittVector, prime_norm_bound: int, dmax: int = 4, orbit: OrbitMonoid | None = None
-) -> ComponentReport:
+def component_report(xi: WittVector, prime_norm_bound: int, dmax: int = 4) -> ComponentReport:
     """J-partition of the orbit monoid with per-class component-field degrees."""
-    if orbit is None:
-        orbit = orbit_monoid([xi], prime_norm_bound)
+    orbit = orbit_monoid([xi], prime_norm_bound)
     blocks = []
     for states in orbit.j_partition():
         values = [v for s in states for v in shift(xi, orbit.reps[s]).values_list()]

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from wittkit.algrec import (
     IntPoly,
+    _certify_shared_poly,
+    _cluster_values,
     _lovasz_verify,
     certify_vector,
     class_polynomial,
-    exact_divisibility,
     exact_minpoly_nf,
     lll_reduce,
     minpoly,
@@ -21,7 +22,7 @@ from wittkit.domains import BigComplex, ExactNumberField
 from wittkit.errors import CertificationError, UsageError, WittkitError
 from wittkit.modular import JFamily, modular_vector
 from wittkit.qfield import IdealHNF, QuadElement, enumerate_ideals, make_field, principal_ideal
-from wittkit.witt import WittVector, constant_vector
+from wittkit.witt import WittVector, check_un, constant_vector
 
 K5 = make_field(-5)
 
@@ -273,14 +274,56 @@ def test_exact_divisibility_in_number_field():
     rep = certify_vector(modular_vector(JFamily(), K5, 30, 120), dmax=8)
     nf = rep.vector.domain
     two = QuadElement(K5, Fraction(2), Fraction(0))
-    assert exact_divisibility(nf, nf.zero(), two)
+    assert nf.div_prime(nf.zero(), two) is not None
     # theta satisfies x^2 - 1264000 x - 681472000, so theta/2 satisfies
     # x^2 - 632000 x - 170368000: still monic integral, hence divisible
     assert 1264000 % 2 == 0 and 681472000 % 4 == 0
-    assert exact_divisibility(nf, nf.gen(), two)
-    assert exact_divisibility(nf, nf.scale(nf.gen(), 2), two)
+    assert nf.div_prime(nf.gen(), two) is not None
+    assert nf.div_prime(nf.scale(nf.gen(), 2), two) is not None
     # 1/2 is not an algebraic integer
-    assert not exact_divisibility(nf, nf.one(), two)
+    assert nf.div_prime(nf.one(), two) is None
+
+
+def test_number_field_tower_refuses_an_irrational_prime_generator():
+    # (sqrt -5) is a principal prime of norm 5; the number field holds no
+    # embedding of K, so dividing by its generator must raise, not guess
+    rep = certify_vector(modular_vector(JFamily(), K5, 30, 120), dmax=8)
+    with pytest.raises(UsageError, match="no embedding of K"):
+        check_un(rep.vector, 1, 5)
+
+
+def _cycling_vector(prec, values):
+    """A vector over K5 whose i-th component is values[i % len(values)]."""
+    ideals = enumerate_ideals(K5, 6)
+    vals = {a: values[i % len(values)] for i, a in enumerate(ideals)}
+    return WittVector(K5, BigComplex(prec), 6, values=vals)
+
+
+def test_shared_poly_first_value_is_the_generator():
+    # the first value is the smaller root of x^2 - 2, so it, not the larger
+    # root, becomes gen and the larger one maps to trace - gen = -gen
+    with mpmath.workdps(80):
+        xi = _cycling_vector(60, [-mpmath.sqrt(2), mpmath.sqrt(2)])
+    rep = certify_vector(xi, dmax=4)
+    assert rep.ok and rep.poly.coeffs == (-2, 0, 1)
+    nf = rep.vector.domain
+    for i, a in enumerate(rep.vector.ideals()):
+        assert rep.vector.value_at(a) == ((0, 1) if i % 2 == 0 else (0, -1))
+    with mpmath.workdps(70):
+        for a in rep.vector.ideals():
+            assert abs(nf.numeric(rep.vector.value_at(a)) - xi.value_at(a)) < mpmath.mpf(10) ** -50
+
+
+def test_shared_poly_rejects_a_value_that_is_not_the_conjugate():
+    with mpmath.workdps(80):
+        root2 = mpmath.sqrt(2)
+        xi = _cycling_vector(60, [root2, root2 + mpmath.mpf(10) ** -20])
+    reps, assign = _cluster_values(xi)
+    assert len(reps) == 2
+    poly = IntPoly(coeffs=(-2, 0, 1), residual=0.0)
+    nf, vec, note = _certify_shared_poly(xi, reps, assign, poly, 60)
+    assert nf is None and vec is None
+    assert note == "value does not match either root of its polynomial"
 
 
 def test_number_field_inverse_reports_reducible_modulus():

@@ -146,8 +146,6 @@ def test_run_out_of_range():
     five = IdealHNF(Q, 5, 0, 1)
     with pytest.raises(InsufficientBoundError):
         run(a, [five, five])
-    # extrapolation is possible but only on request
-    run(a, [five, five], allow_extrapolation=True)
 
 
 def test_bridy_family():

@@ -156,7 +156,7 @@ def test_component_report_values_match_the_old_loop(monkeypatch):
             if orbit is None:
                 continue
             seen.clear()
-            component_report(xi, orbit.prime_norm_bound, orbit=orbit)
+            component_report(xi, orbit.prime_norm_bound)
             old = [_old_component_values(xi, orbit, states) for states in orbit.j_partition()]
             assert [_bits(v) for v in seen] == [_bits(v) for v in old]
             blocks += len(old)

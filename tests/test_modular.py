@@ -16,7 +16,6 @@ from wittkit.modular import (
     CharFamily,
     FrickeFamily,
     JFamily,
-    LevelMatrix,
     char_family_from_ideal,
     check_deformation_axiom2,
     cm_point,
@@ -26,7 +25,6 @@ from wittkit.modular import (
     j_invariant,
     level_families,
     level_family_vectors,
-    level_matrix,
     modular_vector,
     modularity_check,
     wp,
@@ -210,9 +208,7 @@ def test_cm_point_rejects_rational_field():
 
 
 def test_level_matrix_unit_ideal_identity():
-    lm = level_matrix(unit_ideal(K5), 6)
-    assert lm.exact == ((1, 0), (0, 1))
-    assert lm.entries == ((1, 0), (0, 1))
+    assert cm_point(unit_ideal(K5)).matrix == ((1, 0), (0, 1))
 
 
 def test_level_matrix_det_and_exactness():
@@ -221,10 +217,9 @@ def test_level_matrix_det_and_exactness():
         ideals = enumerate_ideals(field, 40)
         omega, one = field.omega(), field.one()
         for a in rng.sample(ideals, min(17, len(ideals))):
-            lm = level_matrix(a, 4)
-            assert lm.det_exact == a.norm()
             pt = cm_point(a)
-            (m11, m12), (m21, m22) = lm.exact
+            (m11, m12), (m21, m22) = pt.matrix
+            assert m11 * m22 - m12 * m21 == a.norm()
             assert pt.w1.scale(m11) + pt.w2.scale(m12) == omega
             assert pt.w1.scale(m21) + pt.w2.scale(m22) == one
 
@@ -333,7 +328,7 @@ def test_modular_vector_components_equal_public_functions(d):
                 tau = cm_point(b, prec).tau
                 am = (0, 0)
                 if isinstance(fam, FrickeFamily):
-                    (m11, m12), (m21, m22) = level_matrix(b, N, prec).exact
+                    (m11, m12), (m21, m22) = cm_point(b, prec).matrix
                     a1, a2 = fam.a
                     am = ((a1 * m11 + a2 * m21) % 1, (a1 * m12 + a2 * m22) % 1)
                 if am == (0, 0):
@@ -353,7 +348,7 @@ def _uncached_component(fam, b, prec, memo):
     tau = cm_point(b, prec).tau
     am = (0, 0)
     if isinstance(fam, FrickeFamily):
-        (m11, m12), (m21, m22) = level_matrix(b, fam.level, prec).exact
+        (m11, m12), (m21, m22) = cm_point(b, prec).matrix
         a1, a2 = fam.a
         am = ((a1 * m11 + a2 * m21) % 1, (a1 * m12 + a2 * m22) % 1)
     key = (tau._mpc_, am, prec)
@@ -626,8 +621,9 @@ def _old_int_div(num: int, den: int) -> int:
     return num // den
 
 
-def _old_level_matrix(a: IdealHNF, N: int, prec: int = modular.DEFAULT_PREC) -> LevelMatrix:
-    """level_matrix as it was: its own cache and a second ideal inverse."""
+def _old_level_matrix(a: IdealHNF, N: int, prec: int = modular.DEFAULT_PREC):
+    """The level matrix as it was built on its own, with its own cache and a
+    second ideal inverse: (entries mod N, exact entries)."""
     if N < 1:
         raise UsageError(f"level must be >= 1, got {N}")
     f = a.field
@@ -644,17 +640,13 @@ def _old_level_matrix(a: IdealHNF, N: int, prec: int = modular.DEFAULT_PREC) -> 
     omega = f.omega()
     one = f.one()
     if pt.w1.scale(m11) + pt.w2.scale(m12) != omega:
-        raise WittkitError("level matrix row 1 does not reproduce tau_K")
+        raise WittkitError("level matrix row 1 does not reproduce omega")
     if pt.w1.scale(m21) + pt.w2.scale(m22) != one:
         raise WittkitError("level matrix row 2 does not reproduce 1")
     det = m11 * m22 - m12 * m21
     if det != a.norm():
         raise WittkitError(f"level matrix determinant {det} != N(a) = {a.norm()}")
-    lm = LevelMatrix(
-        N=N,
-        entries=((m11 % N, m12 % N), (m21 % N, m22 % N)),
-        exact=((m11, m12), (m21, m22)),
-    )
+    lm = (((m11 % N, m12 % N), (m21 % N, m22 % N)), ((m11, m12), (m21, m22)))
     _OLD_LM_CACHE[key] = lm
     return lm
 
@@ -665,9 +657,10 @@ def test_level_matrix_matches_the_old_cached_construction():
         for d in (-1, -2, -3, -5, -15, -23):
             for a in enumerate_ideals(make_field(d), 60):
                 for N in range(1, 7):
-                    old = _old_level_matrix(a, N, 40)
-                    assert level_matrix(a, N, 40) == old
-                    assert cm_point(a, 40).matrix == old.exact
+                    old_entries, old_exact = _old_level_matrix(a, N, 40)
+                    exact = cm_point(a, 40).matrix
+                    assert exact == old_exact
+                    assert tuple(tuple(m % N for m in row) for row in exact) == old_entries
                     checked += 1
         modular.clear_caches()
     assert checked > 2000
