@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .domains import BigComplex, ExactNumberField
+from .domains import GUARD_DIGITS, BigComplex, ExactNumberField, _poly_eval_numeric
 from .errors import PrecisionError, UsageError, WittkitError
 from .modular import _j_component
 from .qfield import class_group, make_field
@@ -158,12 +158,6 @@ class IntPoly:
     def is_monic(self) -> bool:
         return self.coeffs[-1] == 1
 
-    def eval_numeric(self, x):
-        total = mpmath.mpc(0)
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
-
     def to_json(self) -> dict:
         return {
             "coeffs": list(self.coeffs),
@@ -200,7 +194,7 @@ def minpoly(x, dmax: int, prec: int = 60) -> IntPoly | None:
     if dmax < 1:
         raise UsageError(f"dmax must be >= 1, got {dmax}")
     w = prec - 10
-    with mpmath.workdps(prec + 15):
+    with mpmath.workdps(prec + GUARD_DIGITS):
         x = mpmath.mpc(x)
         scale = mpmath.mpf(10) ** w
         powers = [mpmath.mpc(1)]
@@ -267,7 +261,7 @@ def class_polynomial(d: int, prec: int = 120) -> ClassPolyReport:
     if field.is_rational:
         raise UsageError("class polynomials need an imaginary quadratic field")
     reps = class_group(field)
-    with mpmath.workdps(prec + 15):
+    with mpmath.workdps(prec + GUARD_DIGITS):
         roots = [_j_component(a, prec) for a in reps]
         coeffs = [mpmath.mpc(1)]
         for r in roots:
@@ -287,8 +281,7 @@ def class_polynomial(d: int, prec: int = 120) -> ClassPolyReport:
                     f"class polynomial rounding error {mpmath.nstr(err, 3)} exceeds 0.01"
                 )
             ints.append(n)
-        poly = IntPoly(coeffs=tuple(ints), residual=0.0, content=1)
-        resid = max(abs(poly.eval_numeric(r)) for r in roots)
+        resid = max(abs(_poly_eval_numeric(ints, r)) for r in roots)
         poly = IntPoly(coeffs=tuple(ints), residual=float(resid), content=1)
     return ClassPolyReport(
         d=d,
@@ -337,7 +330,7 @@ def _certify_shared_poly(xi, reps, assign, poly, prec):
     within 10^(-prec/2) of trace - reps[0], the other root of a quadratic
     P, and maps to trace - gen.
     """
-    with mpmath.workdps(prec + 15):
+    with mpmath.workdps(prec + GUARD_DIGITS):
         nf = ExactNumberField(list(poly.coeffs), reps[0], prec)
         trace = Fraction(-poly.coeffs[-2], poly.coeffs[-1])
         conjugate = mpmath.mpf(trace.numerator) / trace.denominator - reps[0]
@@ -365,7 +358,7 @@ def _certify_compositum(xi, reps, assign, polys, dmax, prec):
     from sympy import CRootOf, Poly, primitive_element
     from sympy.abc import x as _x
 
-    with mpmath.workdps(prec + 15):
+    with mpmath.workdps(prec + GUARD_DIGITS):
         gens = []
         for v, pc in zip(reps, polys):
             p = Poly([int(c) for c in reversed(pc.coeffs)], _x)
@@ -444,26 +437,15 @@ def exact_minpoly_nf(nf: ExactNumberField, v) -> tuple[int, ...]:
     p = Poly([Rational(c.numerator, c.denominator) for c in reversed(cp)], _x)
     _, factors = factor_list(p)
     for fac, _mult in sorted(factors, key=lambda fm: fm[0].degree()):
+        fracs = [Fraction(int(c.numerator), int(c.denominator)) for c in fac.all_coeffs()]
         acc = nf.zero()
-        for c in fac.all_coeffs():
-            c = Fraction(int(c.numerator), int(c.denominator))
+        for c in fracs:
             acc = nf.add(nf.mul(acc, v), nf.from_fraction(c))
         if acc == nf.zero():
-            norm = _normalize_int_coeffs(
-                [int(c * _common_den(fac)) for c in _ascending_fracs(fac)]
-            )
+            den = math.lcm(*(c.denominator for c in fracs))
+            norm = _normalize_int_coeffs([int(c * den) for c in reversed(fracs)])
             if norm is None:
                 raise WittkitError("degenerate minimal factor")
             return norm[0]
     raise WittkitError("no charpoly factor vanishes at the value")
 
-
-def _ascending_fracs(fac):
-    return [Fraction(int(c.numerator), int(c.denominator)) for c in reversed(fac.all_coeffs())]
-
-
-def _common_den(fac):
-    den = 1
-    for c in _ascending_fracs(fac):
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return den

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+import mpmath
+
 from .errors import InsufficientBoundError, UsageError, WittkitError
 from .qfield import IdealHNF
 from .witt import OrbitMonoid, WittVector, ideal_label, orbit_monoid, pairwise_partition
@@ -106,21 +108,20 @@ def _joint_output_partition(a: Dfao) -> list[int]:
     )
 
 
-def _reachable(a: Dfao) -> list[int]:
-    seen = [a.initial]
-    pos = 0
-    while pos < len(seen):
-        s = seen[pos]
-        pos += 1
-        for t in a.transitions[s]:
+def _first_reach(start: int, successors) -> list[int]:
+    """States reachable from start, in breadth-first first-reach order."""
+    order, seen = [start], {start}
+    for s in order:
+        for t in successors[s]:
             if t not in seen:
-                seen.append(t)
-    return seen
+                seen.add(t)
+                order.append(t)
+    return order
 
 
 def minimize(a: Dfao) -> Dfao:
     """Reachable part, Moore refinement, BFS-canonical state order."""
-    reach = _reachable(a)
+    reach = _first_reach(a.initial, a.transitions)
     index = {s: i for i, s in enumerate(reach)}
     trans = [[index[a.transitions[s][l]] for l in range(len(a.alphabet))] for s in reach]
     sub = Dfao(
@@ -153,14 +154,7 @@ def minimize(a: Dfao) -> Dfao:
         b: [block[sub.transitions[rep_state[b]][l]] for l in range(len(sub.alphabet))]
         for b in range(n_blocks)
     }
-    order = [block[sub.initial]]
-    pos = 0
-    while pos < len(order):
-        b = order[pos]
-        pos += 1
-        for t in q_trans[b]:
-            if t not in order:
-                order.append(t)
+    order = _first_reach(block[sub.initial], q_trans)
     renum = {b: i for i, b in enumerate(order)}
     out = Dfao(
         alphabet=sub.alphabet,
@@ -262,12 +256,10 @@ def run(a: Dfao, word: list[IdealHNF]):
 
 def _output_label(dom, value) -> str:
     if dom.kind == "bigcomplex":
-        import mpmath
-
         with mpmath.workdps(8):
             return mpmath.nstr(mpmath.mpc(value), 6)
     if dom.kind == "cyclotomic":
-        r = dom.ctx.as_rational(value)
+        r = dom.as_rational(value)
         if r is not None:
             return str(r)
         items = sorted(value.items())

@@ -12,9 +12,13 @@ Formal products and powers are cheap and exact, and the evaluation map is a
 ring homomorphism, which is what the Witt-vector fast path relies on.
 
 Both layers share one kernel: _accumulate is the only loop that adds into a
-sparse dict and drops zero coordinates, CycloContext._expand the only
+sparse dict and drops zero coordinates, ExactCyclotomic._expand the only
 (memoised) expansion of prod_i zeta_{q_i}^{e_i} into the basis, and power
 the only square-and-multiply.
+
+ExactCyclotomic is at once the field arithmetic and the exact coefficient
+domain of Witt vectors whose components lie in Q(zeta_L) (see domains for
+the other two domains).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from functools import lru_cache
 import mpmath
 
 from .errors import UsageError, WittkitError
-from .qfield import factor_int
+from .qfield import QuadElement, _rational_integer, factor_int
 
 
 def _accumulate(out: dict, items, c) -> dict:
@@ -53,12 +57,21 @@ def power(mul, one, x, e: int):
 
 
 @lru_cache(maxsize=None)
-def cyclo_context(L: int) -> "CycloContext":
-    return CycloContext(L)
+def cyclo_context(L: int) -> "ExactCyclotomic":
+    """The shared ExactCyclotomic(L), so every user of one conductor shares its memos."""
+    return ExactCyclotomic(L)
 
 
-class CycloContext:
-    """Arithmetic for Q(zeta_L) in the tensor-product integral basis."""
+class ExactCyclotomic:
+    """Q(zeta_L) in the tensor-product integral basis, as a coefficient domain.
+
+    Values are canonical dicts, so equality is decidable and is dict
+    equality.  Two domains of one conductor are equal; their descriptor is
+    {"kind": "cyclotomic", "M": L}.
+    """
+
+    exact = True
+    kind = "cyclotomic"
 
     def __init__(self, L: int):
         if L < 1:
@@ -74,6 +87,18 @@ class CycloContext:
         self.m = [pow(L // q, -1, q) for q in self.q]
         self._expansions: dict[tuple, tuple[tuple[tuple, int], ...]] = {}
         self._roots: dict[int, tuple[tuple[tuple, int], ...]] = {}
+
+    def __repr__(self):
+        return f"ExactCyclotomic({self.L})"
+
+    def __eq__(self, other):
+        return isinstance(other, ExactCyclotomic) and other.L == self.L
+
+    def __hash__(self):
+        return hash((self.kind, self.L))
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "M": self.L}
 
     def _expand_coord(self, i: int, j: int) -> list[tuple[int, int]]:
         """Reduce zeta_{q_i}^j to the basis range [0, phi(q_i)): [(j', sign)]."""
@@ -124,9 +149,15 @@ class CycloContext:
     def zero(self) -> dict:
         return {}
 
+    def one(self) -> dict:
+        return self.from_fraction(1)
+
     def from_fraction(self, c) -> dict:
         c = Fraction(c)
         return {} if c == 0 else {tuple(0 for _ in self.q): c}
+
+    def eq(self, x: dict, y: dict) -> bool:
+        return x == y
 
     def add(self, x: dict, y: dict) -> dict:
         return formal_add(x, y)
@@ -145,7 +176,7 @@ class CycloContext:
         return out
 
     def pow(self, x: dict, e: int) -> dict:
-        return power(self.mul, self.from_fraction(1), x, e)
+        return power(self.mul, self.one(), x, e)
 
     def eval_formal(self, g: dict, n: int = 1) -> dict:
         """Canonical value of a formal sum at scale n: sum c_k zeta_L^(k n)."""
@@ -174,7 +205,7 @@ class CycloContext:
                 return c
         return None
 
-    def is_integral(self, x: dict) -> bool:
+    def is_algebraic_integer(self, x: dict) -> bool:
         return all(Fraction(c).denominator == 1 for c in x.values())
 
     def div_check(self, x: dict, n: int) -> dict | None:
@@ -186,6 +217,38 @@ class CycloContext:
                 return None
             out[k] = q
         return out
+
+    def div_prime(self, x: dict, t) -> dict | None:
+        """x / t when the quotient is still an algebraic integer, else None.
+
+        Quadratic generators are decided exactly for rational components
+        (divisibility in O_K); a nonzero divisible component would have an
+        irrational quotient this domain cannot hold, which is an error.
+        """
+        n = _rational_integer(t)
+        if n is not None:
+            return self.div_check(x, n)
+        c = self.as_rational(x)
+        if c is None:
+            raise UsageError(
+                "cannot divide a cyclotomic value by a quadratic generator; "
+                "use a number-field domain"
+            )
+        quot = QuadElement(t.field, Fraction(c), Fraction(0)) * t.inverse()
+        if not quot.is_integral():
+            return None
+        if c == 0:
+            return self.zero()
+        raise UsageError(
+            "quotient by a quadratic generator is irrational; "
+            "this domain cannot represent it"
+        )
+
+    def value_to_json(self, x: dict):
+        return sorted([list(map(int, k)), str(v)] for k, v in x.items())
+
+    def value_from_json(self, data) -> dict:
+        return {tuple(k): Fraction(v) for k, v in data}
 
     def numeric(self, x: dict, prec: int = 50):
         """mpmath value via zeta_L = exp(2 pi i / L); for cross-checks only."""

@@ -1,10 +1,16 @@
 """Coefficient domains for truncated Witt vectors.
 
 Three kinds: ExactCyclotomic (canonical cyclotomic arithmetic, decidable
-equality), ExactNumberField (Q[x]/(P) with a distinguished complex root),
-and BigComplex (mpmath at a fixed working precision; eq is gap < tol, with
-tol = 10^(-prec/2) fixed at construction).  The exact domains certify
-integrality and divisibility; BigComplex refuses to, loudly.
+equality; it lives in cyclotomic, being Q(zeta_L) itself), ExactNumberField
+(Q[x]/(P) with a distinguished complex root), and BigComplex (mpmath at a
+fixed working precision; eq is gap < tol, with tol = 10^(-prec/2) fixed at
+construction).  The exact domains certify integrality and divisibility;
+BigComplex refuses to, loudly.
+
+Each domain owns its identity: to_json() is the descriptor a stored vector
+carries, and domain_from_json reads one back.  Cyclotomic domains are equal
+by conductor and big-complex ones by precision; a number field equals only
+itself, because two roots of one polynomial are different embeddings.
 """
 
 from __future__ import annotations
@@ -13,98 +19,24 @@ from fractions import Fraction
 
 import mpmath
 
-from .cyclotomic import cyclo_context, power
-from .errors import CertificationError, PrecisionError, UsageError
-from .qfield import QuadElement
+from .cyclotomic import ExactCyclotomic, cyclo_context, power
+from .errors import CertificationError, PrecisionError, UsageError, require_int
+from .qfield import _rational_integer
+
+# Decimal digits carried beyond a requested precision in numeric work.
+GUARD_DIGITS = 15
 
 
-class ExactCyclotomic:
-    """Values in Q(zeta_M), canonical tensor-basis dicts."""
-
-    exact = True
-    kind = "cyclotomic"
-
-    def __init__(self, M: int):
-        self.M = M
-        self.ctx = cyclo_context(M)
-
-    def __repr__(self):
-        return f"ExactCyclotomic({self.M})"
-
-    def eq(self, x, y) -> bool:
-        return x == y
-
-    def add(self, x, y):
-        return self.ctx.add(x, y)
-
-    def sub(self, x, y):
-        return self.ctx.sub(x, y)
-
-    def mul(self, x, y):
-        return self.ctx.mul(x, y)
-
-    def pow(self, x, e: int):
-        return self.ctx.pow(x, e)
-
-    def zero(self):
-        return self.ctx.zero()
-
-    def one(self):
-        return self.ctx.from_fraction(1)
-
-    def from_fraction(self, c):
-        return self.ctx.from_fraction(c)
-
-    def is_algebraic_integer(self, x) -> bool:
-        return self.ctx.is_integral(x)
-
-    def div_prime(self, x, t):
-        """x / t when the quotient is still an algebraic integer, else None.
-
-        Quadratic generators are decided exactly for rational components
-        (divisibility in O_K); a nonzero divisible component would have an
-        irrational quotient this domain cannot hold, which is an error.
-        """
-        n = _rational_integer(t)
-        if n is not None:
-            return self.ctx.div_check(x, n)
-        c = self.ctx.as_rational(x)
-        if c is None:
-            raise UsageError(
-                "cannot divide a cyclotomic value by a quadratic generator; "
-                "use a number-field domain"
-            )
-        quot = QuadElement(t.field, Fraction(c), Fraction(0)) * t.inverse()
-        if not quot.is_integral():
-            return None
-        if c == 0:
-            return self.ctx.zero()
-        raise UsageError(
-            "quotient by a quadratic generator is irrational; "
-            "this domain cannot represent it"
-        )
-
-    def value_to_json(self, x):
-        return sorted([list(map(int, k)), str(v)] for k, v in x.items())
-
-    def value_from_json(self, data):
-        return {tuple(k): Fraction(v) for k, v in data}
-
-    def numeric(self, x, prec: int):
-        return self.ctx.numeric(x, prec)
-
-
-def _rational_integer(t):
-    """t as a plain int when it is one (int, Fraction, or rational QuadElement)."""
-    if isinstance(t, int):
-        return t
-    if isinstance(t, Fraction):
-        return int(t) if t.denominator == 1 else None
-    if hasattr(t, "x") and hasattr(t, "y"):
-        if t.y == 0 and Fraction(t.x).denominator == 1:
-            return int(t.x)
-        return None
-    return None
+def domain_from_json(dom):
+    """The coefficient domain a stored descriptor (a domain's to_json()) names."""
+    kind = dom.get("kind") if isinstance(dom, dict) else None
+    if kind == ExactCyclotomic.kind:
+        return cyclo_context(require_int(dom.get("M"), "stored domain M"))
+    if kind == BigComplex.kind:
+        return BigComplex(require_int(dom.get("prec"), "stored domain prec"))
+    if kind == ExactNumberField.kind:
+        raise UsageError("stored vectors with a number-field domain cannot be reloaded")
+    raise UsageError(f"unknown stored domain {dom!r}")
 
 
 class BigComplex:
@@ -113,18 +45,25 @@ class BigComplex:
     exact = False
     kind = "bigcomplex"
 
-    GUARD_DIGITS = 15
-
     def __init__(self, prec: int):
         if prec < 10:
             raise UsageError(f"precision {prec} is too low to certify anything")
         self.prec = prec
-        self.workdps = prec + self.GUARD_DIGITS
+        self.workdps = prec + GUARD_DIGITS
         with mpmath.workdps(self.workdps):
             self.tol = mpmath.mpf(10) ** (-Fraction(prec, 2))
 
     def __repr__(self):
         return f"BigComplex({self.prec})"
+
+    def __eq__(self, other):
+        return isinstance(other, BigComplex) and other.prec == self.prec
+
+    def __hash__(self):
+        return hash((self.kind, self.prec))
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "prec": self.prec}
 
     def eq(self, x, y) -> bool:
         return self.gap(x, y) < self.tol
@@ -235,6 +174,9 @@ class ExactNumberField:
 
     def __repr__(self):
         return f"ExactNumberField(deg={self.deg})"
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "poly": list(self.int_coeffs)}
 
     def zero(self):
         return tuple([Fraction(0)] * self.deg)

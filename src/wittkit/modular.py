@@ -43,7 +43,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .domains import BigComplex
+from .domains import GUARD_DIGITS, BigComplex
 from .errors import PrecisionError, UsageError, WittkitError
 from .qfield import (
     IdealHNF,
@@ -61,7 +61,6 @@ from .rayclass import classify_ideals
 from .witt import WittVector, ideal_label, shift_partitions
 
 DEFAULT_PREC = 120
-_GUARD = 15
 _TERM_BUDGET = 200000
 _REDUCE_MAX = 10000
 
@@ -116,13 +115,13 @@ def _reduced_with_guard(tau, prec):
     digits to cancellation when Im(tau) is large, so the guard grows with the
     reduced imaginary part.
     """
-    with mpmath.workdps(prec + _GUARD):
+    with mpmath.workdps(prec + GUARD_DIGITS):
         t = mpmath.mpc(tau)
         if not t.imag > 0:
             raise UsageError("tau must lie in the upper half plane")
         tred, g = _reduce_tau(t)
         extra = int(2 * math.pi * math.log10(math.e) * float(tred.imag)) + 2
-    dps = prec + _GUARD + extra
+    dps = prec + GUARD_DIGITS + extra
     with mpmath.workdps(dps):
         tred = _apply_mobius(g, mpmath.mpc(tau))
     return tred, g, dps
@@ -290,7 +289,7 @@ def _theta_constants(t, dps) -> _Theta:
     th4 = 1 + 2 * sum(coef[2::2])
     th2_4 = qh * th2**4
     th3_4 = th3**4
-    if abs(th3_4 - th2_4 - th4**4) > mpmath.mpf(10) ** (-(dps - _GUARD)):
+    if abs(th3_4 - th2_4 - th4**4) > mpmath.mpf(10) ** (-(dps - GUARD_DIGITS)):
         raise PrecisionError("theta constants fail Jacobi's identity")
     return _Theta(tuple(coef), th2, th3, th4, -(mpmath.pi**2 / 3) * (th2_4 + th3_4))
 
@@ -467,7 +466,7 @@ def cm_point(a: IdealHNF, prec: int = DEFAULT_PREC) -> CmPoint:
     det = m11 * m22 - m12 * m21
     if det != a.norm():
         raise WittkitError(f"level matrix determinant {det} != N(a) = {a.norm()}")
-    with mpmath.workdps(prec + _GUARD):
+    with mpmath.workdps(prec + GUARD_DIGITS):
         tau = qelem_numeric(w1) / qelem_numeric(w2)
         if not tau.imag > 0:
             raise WittkitError("CM point landed outside the upper half plane")
@@ -631,7 +630,7 @@ def modular_vector(family, field: QuadField, bound: int, prec: int = DEFAULT_PRE
                 values[b] = _fricke_at(am, _cm_series(b, prec), k)
         elif isinstance(family, CharFamily):
             entries = tuple(tuple(m % family.N for m in row) for row in cm_point(b, prec).matrix)
-            with mpmath.workdps(prec + _GUARD):
+            with mpmath.workdps(prec + GUARD_DIGITS):
                 values[b] = mpmath.mpc(1 if entries in family.S else 0)
         else:
             raise UsageError(f"unknown deformation family {family!r}")
@@ -671,7 +670,7 @@ def modularity_check(field: QuadField, level: int, bound: int, prec: int) -> dic
     vectors = [modular_vector(fam, field, bound, prec) for fam in families]
     ideals = list(enumerate_ideals(field, bound))
     tol_digits = prec // 3
-    with mpmath.workdps(prec + 15):
+    with mpmath.workdps(prec + GUARD_DIGITS):
         tol = mpmath.mpf(10) ** -tol_digits
         loose = tol * 10
     xi_labels, xi_loose = shift_partitions(vectors, ideals, tol, loose)
@@ -758,7 +757,7 @@ def check_deformation_axiom2(family, samples: int = 6, prec: int = 60, seed: int
         passed=True,
     )
     for u in mats:
-        with mpmath.workdps(prec + _GUARD):
+        with mpmath.workdps(prec + GUARD_DIGITS):
             tau = mpmath.mpc(rng.uniform(-0.45, 0.45), rng.uniform(0.9, 1.6))
             (ua, ub), (uc, ud) = u
             tau_inv = (ud * tau - ub) / (-uc * tau + ua)
@@ -768,7 +767,7 @@ def check_deformation_axiom2(family, samples: int = 6, prec: int = 60, seed: int
         else:
             lhs = fricke(_transport(family.a, u), tau_inv, 1, prec)
             rhs = fricke(family.a, tau, 1, prec)
-        with mpmath.workdps(prec + _GUARD):
+        with mpmath.workdps(prec + GUARD_DIGITS):
             res = float(abs(lhs - rhs))
         report.n_checks += 1
         report.max_residual = max(report.max_residual, res)

@@ -175,6 +175,17 @@ def element(field: QuadField, x, y=0) -> QuadElement:
     return QuadElement(field, Fraction(x), Fraction(y))
 
 
+def _rational_integer(t):
+    """t as a plain int when it is one (int, Fraction, or rational QuadElement)."""
+    if isinstance(t, int):
+        return t
+    if isinstance(t, Fraction):
+        return int(t) if t.denominator == 1 else None
+    if isinstance(t, QuadElement) and t.y == 0 and Fraction(t.x).denominator == 1:
+        return int(t.x)
+    return None
+
+
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, u, v) with u*a + v*b = g = gcd(a, b) >= 0."""
     old_r, r = a, b
@@ -357,10 +368,7 @@ def _ideal_from_int_pairs(field: QuadField, pairs: list[tuple[int, int]], den: i
 
 def ideal_from_elements(field: QuadField, elts: list[QuadElement]) -> IdealHNF:
     """Lattice (not O_K-module closure) generated by the given elements."""
-    den = 1
-    for e in elts:
-        den = den * e.x.denominator // math.gcd(den, e.x.denominator)
-        den = den * e.y.denominator // math.gcd(den, e.y.denominator)
+    den = math.lcm(*(c.denominator for e in elts for c in (e.x, e.y)))
     pairs = [(int(e.x * den), int(e.y * den)) for e in elts]
     return _ideal_from_int_pairs(field, pairs, den)
 

@@ -21,8 +21,17 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import _accumulate, formal_add, formal_mul, formal_pow, formal_scale, formal_shift
-from .domains import BigComplex, ExactCyclotomic
+from .cyclotomic import (
+    ExactCyclotomic,
+    _accumulate,
+    cyclo_context,
+    formal_add,
+    formal_mul,
+    formal_pow,
+    formal_scale,
+    formal_shift,
+)
+from .domains import domain_from_json
 from .errors import (
     BoundExhaustedError,
     InsufficientBoundError,
@@ -85,7 +94,7 @@ class WittVector:
                 raise UsageError("group-ring presentations exist only over Q")
             if values:
                 raise UsageError("a group-ring vector takes no stored values")
-            if not isinstance(domain, ExactCyclotomic) or domain.M != gring_L:
+            if not isinstance(domain, ExactCyclotomic) or domain.L != gring_L:
                 raise UsageError("group-ring exponents must match the cyclotomic domain")
 
     def __repr__(self):
@@ -103,25 +112,18 @@ class WittVector:
         r = a.a % self.gring_L
         v = self._residues.get(r)
         if v is None:
-            v = self._residues[r] = self.domain.ctx.eval_formal(self.gring, r)
+            v = self._residues[r] = self.domain.eval_formal(self.gring, r)
         return v
 
     def values_list(self) -> list:
         return [self.value_at(a) for a in self.ideals()]
 
     def to_json(self) -> dict:
-        dom = {"kind": self.domain.kind}
-        if self.domain.kind == "cyclotomic":
-            dom["M"] = self.domain.M
-        elif self.domain.kind == "bigcomplex":
-            dom["prec"] = self.domain.prec
-        elif self.domain.kind == "numberfield":
-            dom["poly"] = list(self.domain.int_coeffs)
         return {
             "schema": "wittkit/vector/1",
             "d": self.field.d,
             "bound": self.bound,
-            "domain": dom,
+            "domain": self.domain.to_json(),
             "values": [
                 [a.to_json(), self.domain.value_to_json(self.value_at(a))] for a in self.ideals()
             ],
@@ -133,16 +135,7 @@ class WittVector:
         if not isinstance(data, dict) or data.get("schema") != "wittkit/vector/1":
             raise UsageError("not a stored vector (schema wittkit/vector/1)")
         field = make_field(require_int(data.get("d"), "stored vector d"))
-        dom, values = data.get("domain"), data.get("values")
-        kind = dom.get("kind") if isinstance(dom, dict) else None
-        if kind == "bigcomplex":
-            domain = BigComplex(require_int(dom.get("prec"), "stored domain prec"))
-        elif kind == "cyclotomic":
-            domain = ExactCyclotomic(require_int(dom.get("M"), "stored domain M"))
-        elif kind == "numberfield":
-            raise UsageError("stored vectors with a number-field domain cannot be reloaded")
-        else:
-            raise UsageError(f"unknown stored domain {dom!r}")
+        domain, values = domain_from_json(data.get("domain")), data.get("values")
         if not isinstance(values, list) or not all(isinstance(v, list) and len(v) == 2 for v in values):
             raise UsageError("stored values must be a list of [ideal, value] pairs")
         vals = {}
@@ -163,7 +156,7 @@ def constant_vector(field, domain, bound, value) -> WittVector:
 
 
 def all_ones(field, bound: int) -> WittVector:
-    domain = ExactCyclotomic(1)
+    domain = cyclo_context(1)
     if field.is_rational:
         return WittVector(field, domain, bound, gring={0: Fraction(1)}, gring_L=1)
     return constant_vector(field, domain, bound, domain.one())
@@ -175,7 +168,7 @@ def zeta_gamma(q: int, p: int, bound: int) -> WittVector:
         raise UsageError("denominator must be a positive integer")
     field = make_field(1)
     return WittVector(
-        field, ExactCyclotomic(q), bound, gring={p % q: Fraction(1)}, gring_L=q
+        field, cyclo_context(q), bound, gring={p % q: Fraction(1)}, gring_L=q
     )
 
 
@@ -191,14 +184,14 @@ def zlinear_combine(coeffs, gammas, bound: int) -> WittVector:
         {}, (((g.numerator * (L // g.denominator)) % L, Fraction(c)) for c, g in zip(coeffs, gammas)), 1
     )
     field = make_field(1)
-    return WittVector(field, ExactCyclotomic(L), bound, gring=gring, gring_L=L)
+    return WittVector(field, cyclo_context(L), bound, gring=gring, gring_L=L)
 
 
 def rho_vector(a: IdealHNF, bound: int) -> WittVector:
     """The idempotent rho^a: component 1 on multiples of a, else 0."""
     if not a.is_integral():
         raise UsageError("rho needs an integral ideal")
-    domain = ExactCyclotomic(1)
+    domain = cyclo_context(1)
     one, zero = domain.one(), domain.zero()
     vals = {b: (one if a.contains_ideal(b) else zero) for b in _ideals(a.field, bound)}
     return WittVector(a.field, domain, bound, values=vals)
@@ -208,15 +201,9 @@ def _same_domain(x: WittVector, y: WittVector):
     if x.field.d != y.field.d:
         raise UsageError("vectors live over different fields")
     dx, dy = x.domain, y.domain
-    if dx is dy:
-        return dx
-    if dx.kind != dy.kind:
+    if dx != dy:
         raise UsageError(f"domain mismatch: {dx!r} vs {dy!r}")
-    if dx.kind == "cyclotomic" and dx.M == dy.M:
-        return dx
-    if dx.kind == "bigcomplex" and dx.prec == dy.prec:
-        return dx
-    raise UsageError(f"domain mismatch: {dx!r} vs {dy!r}")
+    return dx
 
 
 def shift(xi: WittVector, a: IdealHNF) -> WittVector:
@@ -1052,7 +1039,7 @@ def distinct_values(domain, values) -> tuple[list, list[int]]:
 def _component_degree(xi: WittVector, vals, dmax):
     domain = xi.domain
     if domain.kind == "cyclotomic":
-        return domain.ctx.subfield_degree(vals), True, "cyclotomic-galois", ""
+        return domain.subfield_degree(vals), True, "cyclotomic-galois", ""
     from . import algrec
 
     polys = []

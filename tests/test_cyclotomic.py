@@ -80,8 +80,8 @@ def test_canonical_equality():
 def test_integrality_and_division():
     ctx = cyclo_context(5)
     x = ctx.add(ctx.root(1), ctx.from_fraction(3))
-    assert ctx.is_integral(x)
-    assert not ctx.is_integral(ctx.scale(x, Fraction(1, 2)))
+    assert ctx.is_algebraic_integer(x)
+    assert not ctx.is_algebraic_integer(ctx.scale(x, Fraction(1, 2)))
     y = ctx.scale(x, 6)
     assert ctx.div_check(y, 3) == ctx.scale(x, 2)
     assert ctx.div_check(y, 5) is None

@@ -259,7 +259,7 @@ def test_char_family_reproduces_rho():
         rvec = rho_vector(a, bound)
         for b in cvec.ideals():
             got = int(round(float(abs(cvec.value_at(b)))))
-            want = int(rvec.domain.ctx.as_rational(rvec.value_at(b)))
+            want = int(rvec.domain.as_rational(rvec.value_at(b)))
             assert got == want, (a, b)
 
 

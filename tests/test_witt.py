@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from wittkit import witt
 from wittkit.cyclotomic import cyclo_context
-from wittkit.domains import BigComplex, ExactCyclotomic
+from wittkit.domains import BigComplex, ExactCyclotomic, ExactNumberField, domain_from_json
 from wittkit.errors import BoundExhaustedError, UsageError
 from wittkit.modular import clear_caches, level_family_vectors
 from wittkit.qfield import IdealHNF, enumerate_ideals, ideal_mul, make_field, unit_ideal
@@ -581,6 +581,42 @@ def test_stored_vector_roundtrip_both_domains():
     for xi in (zeta_gamma(6, 1, 30), WittVector(K5, BigComplex(40), 12, values=values)):
         back = WittVector.from_json(xi.to_json())
         assert back.to_json() == xi.to_json()
+        assert domain_from_json(xi.domain.to_json()) == xi.domain
+
+
+def _sqrt2_field():
+    with mpmath.workdps(80):
+        return ExactNumberField([-2, 0, 1], mpmath.sqrt(2))
+
+
+@pytest.mark.parametrize(
+    "make_x, make_y, same",
+    [
+        (lambda: BigComplex(40), lambda: BigComplex(40), True),
+        (lambda: ExactCyclotomic(6), lambda: ExactCyclotomic(6), True),
+        (lambda: BigComplex(40), lambda: BigComplex(60), False),
+        (lambda: ExactCyclotomic(3), lambda: ExactCyclotomic(6), False),
+        (lambda: ExactCyclotomic(6), lambda: BigComplex(40), False),
+        (_sqrt2_field, _sqrt2_field, False),
+    ],
+    ids=[
+        "prec-40-twice",
+        "conductor-6-twice",
+        "prec-40-vs-60",
+        "conductor-3-vs-6",
+        "cyclo-vs-bigcomplex",
+        "one-poly-twice",
+    ],
+)
+def test_pointwise_add_compares_domains_by_value(make_x, make_y, same):
+    dx, dy = make_x(), make_y()
+    assert dx is not dy
+    x, y = (constant_vector(K5, dom, 10, dom.one()) for dom in (dx, dy))
+    if same:
+        assert pointwise_add(x, y).domain is dx
+    else:
+        with pytest.raises(UsageError, match="domain mismatch"):
+            pointwise_add(x, y)
 
 
 @pytest.mark.parametrize(
@@ -776,16 +812,16 @@ def test_value_at_matches_fresh_evaluation():
 
 
 def test_value_at_evaluates_each_residue_once(monkeypatch):
-    from wittkit.cyclotomic import CycloContext
+    from wittkit.cyclotomic import ExactCyclotomic
 
-    real = CycloContext.eval_formal
+    real = ExactCyclotomic.eval_formal
     calls = []
 
     def counting(self, g, n=1):
         calls.append(n)
         return real(self, g, n)
 
-    monkeypatch.setattr(CycloContext, "eval_formal", counting)
+    monkeypatch.setattr(ExactCyclotomic, "eval_formal", counting)
     xi = zlinear_combine([3, -2], [Fraction(1, 11), Fraction(5, 11)], 200)
     assert xi.gring_L == 11
     xi.values_list()
