@@ -22,12 +22,18 @@ import functools
 import hashlib
 import io
 import json
+import os
 import sys
+import tempfile
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
+from mpmath.libmp import from_man_exp
+
 from . import algrec, automata, modular, rayclass, witt
+from .domains import BigComplex
 from .errors import (
     InsufficientBoundError,
     NoRelationError,
@@ -549,7 +555,10 @@ def _cache_load(cache_dir: Path, key: str):
     path = cache_dir / f"{key}.json"
     if not path.exists():
         return None
-    data = json.loads(path.read_text())
+    try:
+        data = json.loads(path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        raise UsageError(f"cache entry {path} is not valid JSON; delete the poisoned file") from None
     files = data.get("files") if isinstance(data, dict) else None
     if files is None or data.get("key") != key or _sha256(files) != data.get("files_sha256"):
         raise UsageError(f"cache entry {path} fails its checksum; delete the poisoned file")
@@ -577,7 +586,63 @@ def _cache_store(cache_dir: Path, key: str, files: dict) -> None:
         "files_sha256": _sha256(files),
         "files": files,
     }
-    (cache_dir / f"{key}.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    # a reader sees the old entry or the whole new one, never a torn write
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=f".{key}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        os.replace(tmp, cache_dir / f"{key}.json")
+    finally:
+        Path(tmp).unlink(missing_ok=True)
+
+
+# The modular vector's cache entry: one JSON file holding each component's
+# exact bits, so a reloaded vector is the computed one bit for bit (printed
+# digits would drop the guard bits that certify.json's residuals show).
+_VECTOR_FILE = "vector.bits.json"
+
+
+def _vector_key(cfg: RunConfig) -> str:
+    """The vector's own inputs; the raw family string, since describe() is not unique."""
+    return _sha256({"v": 1, "vector": {"d": cfg.d, "family": cfg.family, "bound": cfg.bound, "prec": cfg.prec}})
+
+
+def _mpc_bits(z) -> list:
+    """Each part of z as its mpf tuple [sign, hex(man), exp, bc]."""
+    return [[sign, hex(man), exp, bc] for sign, man, exp, bc in z._mpc_]
+
+
+def _mpc_from_bits(item):
+    """The mpc _mpc_bits wrote; ValueError for anything it could not have written."""
+    if not isinstance(item, list) or len(item) != 2:
+        raise ValueError(item)
+    parts = []
+    for part in item:
+        if not isinstance(part, list) or len(part) != 4:
+            raise ValueError(part)
+        sign, man_hex, exp, bc = part
+        if not isinstance(man_hex, str) or not all(type(v) is int for v in (sign, exp, bc)):
+            raise ValueError(part)
+        man = int(man_hex, 16)
+        mpf = from_man_exp(-man if sign else man, exp)
+        if mpf != (sign, man, exp, bc) or hex(man) != man_hex:
+            raise ValueError(part)
+        parts.append(mpf)
+    return mpmath.mp.make_mpc(tuple(parts))
+
+
+def _vector_from_entry(path: Path, files: dict, field: QuadField, cfg: RunConfig) -> witt.WittVector:
+    """Rebuild the modular vector from its cache entry, in witt._ideals order."""
+    ideals = witt._ideals(field, cfg.bound)
+    entry = files.get(_VECTOR_FILE)
+    values = entry["data"].get("values") if entry is not None and entry["type"] == "json" else None
+    try:
+        if not isinstance(values, list) or len(values) != len(ideals):
+            raise ValueError(values)
+        components = [_mpc_from_bits(v) for v in values]
+    except ValueError:
+        raise UsageError(f"cache entry {path} holds a malformed vector; delete the poisoned file") from None
+    return witt.WittVector(field, BigComplex(cfg.prec), cfg.bound, values=dict(zip(ideals, components)))
 
 
 def run_pipeline(cfg: RunConfig) -> dict:
@@ -589,9 +654,23 @@ def run_pipeline(cfg: RunConfig) -> dict:
     canonical = cfg.canonical()
     cfg_hash = _sha256(canonical)
 
-    get_vector = functools.cache(
-        lambda: modular.modular_vector(parse_family(field, cfg.family), field, cfg.bound, cfg.prec)
-    )
+    vector_cache = None
+
+    @functools.cache
+    def get_vector() -> witt.WittVector:
+        nonlocal vector_cache
+        key = _vector_key(cfg)
+        files = _cache_load(cache_dir, key) if cache_dir else None
+        if files is not None:
+            vector_cache = "hit"
+            return _vector_from_entry(cache_dir / f"{key}.json", files, field, cfg)
+        xi = modular.modular_vector(parse_family(field, cfg.family), field, cfg.bound, cfg.prec)
+        if cache_dir:
+            bits = [_mpc_bits(xi.value_at(a)) for a in xi.ideals()]
+            _cache_store(cache_dir, key, {_VECTOR_FILE: {"type": "json", "data": {"values": bits}}})
+            vector_cache = "miss"
+        return xi
+
     hits, misses, failed = [], [], []
     artifacts: dict[str, list[str]] = {}
     for job in cfg.jobs:
@@ -622,6 +701,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         "artifacts": artifacts,
         "cache_hits": hits,
         "cache_misses": misses,
+        "vector_cache": vector_cache,
         "failed_checks": failed,
     }
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,8 +13,9 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp
 
-from wittkit import cli, rayclass, witt
+from wittkit import cli, cyclotomic, modular, rayclass, witt
 from wittkit.domains import BigComplex
 from wittkit.errors import UsageError
 from wittkit.modular import CharFamily, FrickeFamily, JFamily
@@ -566,3 +568,159 @@ def test_hnf_triples_are_accepted_exactly_when_they_are_ideals():
                             cli.parse_ideal(field, token)
                         with pytest.raises(UsageError):
                             ideal_from_json(field, data)
+
+
+# ---------------------------------------------------------------------------
+# the pipeline's cache writes and its modular-vector entry
+
+_SMALL = ["--d", "-5", "--bound", "20", "--prec", "60"]
+
+
+def _reset_module_caches():
+    modular.clear_caches()
+    witt._ideals.cache_clear()
+    cyclotomic.cyclo_context.cache_clear()
+
+
+def test_pipeline_truncated_cache_entry_exits_2_naming_the_file(capsys, tmp_path):
+    argv = ["pipeline", "--jobs", "field", "--out-dir", str(tmp_path / "out")]
+    argv += ["--cache-dir", str(tmp_path / "cache")]
+    assert run_cli(capsys, *argv)[0] == 0
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    text = entry.read_text()
+    entry.write_text(text[: len(text) // 2])
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert str(entry) in err and "delete the poisoned file" in err
+
+
+def test_cache_store_interrupted_before_the_rename_keeps_the_old_entry(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    old = {"a.txt": {"type": "text", "data": "old\n"}}
+    cli._cache_store(cache, "k", old)
+
+    def interrupted(src, dst):
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(cli.os, "replace", interrupted)
+    with pytest.raises(OSError):
+        cli._cache_store(cache, "k", {"a.txt": {"type": "text", "data": "new\n"}})
+    assert cli._cache_load(cache, "k") == old
+    assert [p.name for p in cache.iterdir()] == ["k.json"]
+
+
+def _vector_entry(cache_dir: Path, changes: dict) -> Path:
+    entry = cache_dir / f"{cli._vector_key(replace(cli.RunConfig(), **changes))}.json"
+    assert entry.exists()
+    return entry
+
+
+def test_pipeline_detects_a_poisoned_vector_entry(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    argv = ["pipeline", *_SMALL, "--out-dir", str(tmp_path / "out"), "--cache-dir", str(cache)]
+    assert run_cli(capsys, *argv, "--jobs", "vector")[0] == 0
+    entry = _vector_entry(cache, {"d": -5, "bound": 20, "prec": 60})
+    data = json.loads(entry.read_text())
+    part = data["files"][cli._VECTOR_FILE]["data"]["values"][0][0]
+    part[1] = hex(int(part[1], 16) ^ 2)
+    entry.write_text(json.dumps(data))
+    _run_expecting_usage_error(capsys, *argv, "--jobs", "orbit")
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda values: values.pop(),  # one component short
+        lambda values: values.append(values[0]),  # one too many
+        lambda values: values[0][0].__setitem__(2, 1.5),  # a float exponent
+        lambda values: values[0][0].__setitem__(0, True),  # a bool sign
+        lambda values: values[0][0].__setitem__(1, "0xg"),  # not hex
+        lambda values: values[0][0].__setitem__(1, "0X1F"),  # not hex() of the mantissa
+        lambda values: values[0][0].__setitem__(3, values[0][0][3] + 1),  # wrong bit count
+        lambda values: values[0][0].__setitem__(1, "0x2"),  # mantissa not normalized
+        lambda values: values[0].pop(),  # no imaginary part
+        lambda values: values.__setitem__(0, "1.5"),
+    ],
+)
+def test_pipeline_vector_entry_with_a_matching_checksum_but_malformed_bits_exits_2(capsys, tmp_path, tamper):
+    cache = tmp_path / "cache"
+    argv = ["pipeline", *_SMALL, "--out-dir", str(tmp_path / "out"), "--cache-dir", str(cache)]
+    assert run_cli(capsys, *argv, "--jobs", "vector")[0] == 0
+    entry = _vector_entry(cache, {"d": -5, "bound": 20, "prec": 60})
+    data = json.loads(entry.read_text())
+    tamper(data["files"][cli._VECTOR_FILE]["data"]["values"])
+    data["files_sha256"] = cli._sha256(data["files"])
+    entry.write_text(json.dumps(data))
+    code = cli.main([*argv, "--jobs", "orbit"])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert str(entry) in err and "delete the poisoned file" in err
+
+
+def test_pipeline_reports_whether_the_vector_came_from_the_cache(capsys, tmp_path):
+    argv = ["pipeline", *_SMALL, "--out-dir", str(tmp_path / "out")]
+    cached = [*argv, "--cache-dir", str(tmp_path / "cache")]
+    assert run_cli(capsys, *argv, "--jobs", "orbit")[1]["vector_cache"] is None
+    assert run_cli(capsys, *cached, "--jobs", "field")[1]["vector_cache"] is None
+    assert run_cli(capsys, *cached, "--jobs", "orbit")[1]["vector_cache"] == "miss"
+    assert run_cli(capsys, *cached, "--jobs", "bridy")[1]["vector_cache"] == "hit"
+    # every job hits its own entry, so the vector is never asked for
+    assert run_cli(capsys, *cached, "--jobs", "orbit,bridy")[1]["vector_cache"] is None
+
+
+def test_pipeline_jobs_run_alone_compute_the_vector_once(tmp_path, monkeypatch):
+    """Each default job alone with one shared cache dir, as the benchmark runs them."""
+    _reset_module_caches()
+    cli.run_pipeline(cli.RunConfig(out_dir=str(tmp_path / "oneshot")))
+
+    calls: dict[str, int] = {}
+    job_now = [None]
+    real = modular.modular_vector
+
+    def counting(*args, **kwargs):
+        calls[job_now[0]] = calls.get(job_now[0], 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(modular, "modular_vector", counting)
+
+    def run_each(**changes):
+        calls.clear()
+        for job in cli.RunConfig().jobs:
+            _reset_module_caches()
+            job_now[0] = job
+            cfg = cli.RunConfig(jobs=(job,), cache_dir=str(tmp_path / "cache"), **changes)
+            cli.run_pipeline(cfg)
+        # the check job's level-N family vectors are its own and never cached
+        calls.pop("check", None)
+        return calls
+
+    assert run_each(out_dir=str(tmp_path / "alone")) == {"vector": 1}
+    names = sorted(p.name for p in (tmp_path / "oneshot").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "alone").iterdir())
+    for name in names:
+        assert (tmp_path / "oneshot" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes(), name
+    assert run_each(out_dir=str(tmp_path / "rerun"), dmax=6) == {}
+
+
+def _mpf_tuples():
+    return st.builds(from_man_exp, st.integers(-(2**600), 2**600), st.integers(-(2**80), 2**80))
+
+
+_NOISE = mpmath.mpf("-3.2894081040678e-133")
+
+
+@settings(max_examples=200, deadline=None)
+@given(re=_mpf_tuples(), im=st.one_of(_mpf_tuples(), st.just(_NOISE._mpf_), st.just(from_man_exp(0, 0))))
+def test_mpc_bits_round_trip_is_exact(re, im):
+    z = mpmath.mp.make_mpc((re, im))
+    back = cli._mpc_from_bits(json.loads(json.dumps(cli._mpc_bits(z))))
+    assert back._mpc_ == z._mpc_
+
+
+@pytest.mark.parametrize("d", [-1, -3, -5, -15, -23])
+def test_mpc_bits_round_trip_j_vectors(d):
+    xi = modular.modular_vector(JFamily(), make_field(d), 40, 120)
+    for a in xi.ideals():
+        z = xi.value_at(a)
+        assert cli._mpc_from_bits(json.loads(json.dumps(cli._mpc_bits(z))))._mpc_ == z._mpc_
