@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import hashlib
 import io
 import json
@@ -501,7 +500,10 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
 
 def _compute_job(cfg: RunConfig, field: QuadField, job: str, get_vector) -> dict:
-    """One job's files: an unstamped payload per .json name, text for the rest."""
+    """One job's files: an unstamped payload per .json name, text for the rest.
+
+    get_vector(family) gives a family's vector, the config's by default.
+    """
     P = cfg.prime_norm_bound
     if job == "field":
         return {"field.json": field_info_payload(field, P)}
@@ -524,7 +526,8 @@ def _compute_job(cfg: RunConfig, field: QuadField, job: str, get_vector) -> dict
     if job == "certify":
         return {"certify.json": algrec.certify_vector(get_vector(), dmax=cfg.dmax).to_json()}
     if job == "check":
-        return {"check.json": modularity_check(field, cfg.level, cfg.bound, cfg.prec)}
+        vectors = [get_vector(fam.describe()) for fam in modular.level_families(cfg.level)]
+        return {"check.json": modularity_check(field, cfg.level, cfg.bound, cfg.prec, vectors)}
     raise UsageError(f"unknown job {job!r}")
 
 
@@ -596,15 +599,23 @@ def _cache_store(cache_dir: Path, key: str, files: dict) -> None:
         Path(tmp).unlink(missing_ok=True)
 
 
-# The modular vector's cache entry: one JSON file holding each component's
-# exact bits, so a reloaded vector is the computed one bit for bit (printed
-# digits would drop the guard bits that certify.json's residuals show).
+# A modular vector's cache entry, one per (d, family, bound, prec): one JSON
+# file holding each component's exact bits, so a reloaded vector is the
+# computed one bit for bit (printed digits would drop the guard bits that
+# certify.json's residuals show).
 _VECTOR_FILE = "vector.bits.json"
 
 
-def _vector_key(cfg: RunConfig) -> str:
-    """The vector's own inputs; the raw family string, since describe() is not unique."""
-    return _sha256({"v": 1, "vector": {"d": cfg.d, "family": cfg.family, "bound": cfg.bound, "prec": cfg.prec}})
+def _vector_key(cfg: RunConfig, family: str | None = None) -> str:
+    """The vector's own inputs, with the family (default: the config's) in canonical form.
+
+    j and Fricke families are named by describe(), so "fricke:2/4,0" shares
+    the entry of "fricke:1/2,0"; char: families by their stripped text, since
+    describe() is not unique for those.
+    """
+    text = (cfg.family if family is None else family).strip()
+    name = text if text.startswith("char:") else parse_family(None, text).describe()
+    return _sha256({"v": 1, "vector": {"d": cfg.d, "family": name, "bound": cfg.bound, "prec": cfg.prec}})
 
 
 def _mpc_bits(z) -> list:
@@ -654,21 +665,26 @@ def run_pipeline(cfg: RunConfig) -> dict:
     canonical = cfg.canonical()
     cfg_hash = _sha256(canonical)
 
+    # "miss" once the cache lacked a vector a job asked for, "hit" while it held each one
     vector_cache = None
+    vectors: dict[str, witt.WittVector] = {}
 
-    @functools.cache
-    def get_vector() -> witt.WittVector:
+    def get_vector(family: str = cfg.family) -> witt.WittVector:
         nonlocal vector_cache
-        key = _vector_key(cfg)
+        key = _vector_key(cfg, family)
+        if key in vectors:
+            return vectors[key]
         files = _cache_load(cache_dir, key) if cache_dir else None
         if files is not None:
-            vector_cache = "hit"
-            return _vector_from_entry(cache_dir / f"{key}.json", files, field, cfg)
-        xi = modular.modular_vector(parse_family(field, cfg.family), field, cfg.bound, cfg.prec)
-        if cache_dir:
-            bits = [_mpc_bits(xi.value_at(a)) for a in xi.ideals()]
-            _cache_store(cache_dir, key, {_VECTOR_FILE: {"type": "json", "data": {"values": bits}}})
-            vector_cache = "miss"
+            xi = _vector_from_entry(cache_dir / f"{key}.json", files, field, cfg)
+            vector_cache = vector_cache or "hit"
+        else:
+            xi = modular.modular_vector(parse_family(field, family), field, cfg.bound, cfg.prec)
+            if cache_dir:
+                bits = [_mpc_bits(xi.value_at(a)) for a in xi.ideals()]
+                _cache_store(cache_dir, key, {_VECTOR_FILE: {"type": "json", "data": {"values": bits}}})
+                vector_cache = "miss"
+        vectors[key] = xi
         return xi
 
     hits, misses, failed = [], [], []

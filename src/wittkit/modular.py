@@ -37,8 +37,7 @@ partition with the ray classes mod N*O_K.
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -656,18 +655,27 @@ def level_family_vectors(field: QuadField, N: int, bound: int, prec: int = DEFAU
 # The modularity desk check
 
 
-def modularity_check(field: QuadField, level: int, bound: int, prec: int) -> dict:
+def modularity_check(field: QuadField, level: int, bound: int, prec: int, vectors=None) -> dict:
     """Compare the shift partition of Xi(level) with ray classes mod level*O_K.
 
     Also verifies that each shift class has a constant gcd with level*O_K,
     and flags pairs whose verdict flips within one order of the tolerance.
+    `vectors`, when given, are the vectors of level_families(level) in that
+    order (say, read from a cache); otherwise level_family_vectors sums them.
     """
     if level < 1:
         raise UsageError(f"level must be >= 1, got {level}")
     if field.is_rational:
         raise UsageError("the desk check runs over imaginary quadratic fields")
     families = level_families(level)
-    vectors = [modular_vector(fam, field, bound, prec) for fam in families]
+    if vectors is None:
+        vectors = level_family_vectors(field, level, bound, prec)
+    if len(vectors) != len(families):
+        raise UsageError(f"the level-{level} check compares {len(families)} vectors, got {len(vectors)}")
+    domain = BigComplex(prec)
+    for fam, xi in zip(families, vectors):
+        if xi.field != field or xi.bound != bound or xi.domain != domain:
+            raise UsageError(f"the {fam.describe()} vector is not over d={field.d}, bound {bound}, {domain!r}")
     ideals = list(enumerate_ideals(field, bound))
     tol_digits = prec // 3
     with mpmath.workdps(prec + GUARD_DIGITS):
@@ -709,68 +717,3 @@ def modularity_check(field: QuadField, level: int, bound: int, prec: int) -> dic
         "gcd_constant_per_class": gcd_constant,
         "passed": partitions_equal and gcd_constant,
     }
-
-
-# ---------------------------------------------------------------------------
-# Axiom spot-check
-
-
-@dataclass
-class Axiom2Report:
-    family: str
-    prec: int
-    n_checks: int
-    tol: float
-    max_residual: float
-    passed: bool
-    entries: list = dc_field(default_factory=list)
-
-
-def _random_sl2(rng: random.Random):
-    m = ((1, 0), (0, 1))
-    for _ in range(rng.randrange(2, 7)):
-        if rng.random() < 0.5:
-            g = ((1, rng.choice((-1, 1))), (0, 1))
-        else:
-            g = ((1, 0), (rng.choice((-1, 1)), 1))
-        m = _mat_mul2(m, g)
-    return m
-
-
-def check_deformation_axiom2(family, samples: int = 6, prec: int = 60, seed: int = 20260823) -> Axiom2Report:
-    """Spot-check f_{a*u}(u**-1 tau) = f_a(tau) for u in SL2(Z); report only.
-
-    Fricke families are checked at power 1.
-    """
-    if isinstance(family, CharFamily):
-        raise UsageError("axiom check covers JFamily and FrickeFamily only")
-    rng = random.Random(seed)
-    mats = [((1, 1), (0, 1)), ((0, -1), (1, 0))]
-    while len(mats) < samples:
-        mats.append(_random_sl2(rng))
-    report = Axiom2Report(
-        family=family.describe(),
-        prec=prec,
-        n_checks=0,
-        tol=float(mpmath.mpf(10) ** (-prec // 2)),
-        max_residual=0.0,
-        passed=True,
-    )
-    for u in mats:
-        with mpmath.workdps(prec + GUARD_DIGITS):
-            tau = mpmath.mpc(rng.uniform(-0.45, 0.45), rng.uniform(0.9, 1.6))
-            (ua, ub), (uc, ud) = u
-            tau_inv = (ud * tau - ub) / (-uc * tau + ua)
-        if isinstance(family, JFamily):
-            lhs = j_invariant(tau_inv, prec)
-            rhs = j_invariant(tau, prec)
-        else:
-            lhs = fricke(_transport(family.a, u), tau_inv, 1, prec)
-            rhs = fricke(family.a, tau, 1, prec)
-        with mpmath.workdps(prec + GUARD_DIGITS):
-            res = float(abs(lhs - rhs))
-        report.n_checks += 1
-        report.max_residual = max(report.max_residual, res)
-        report.entries.append({"u": u, "tau": str(tau), "residual": res})
-    report.passed = report.max_residual < report.tol
-    return report

@@ -703,6 +703,120 @@ def test_pipeline_jobs_run_alone_compute_the_vector_once(tmp_path, monkeypatch):
     assert run_each(out_dir=str(tmp_path / "rerun"), dmax=6) == {}
 
 
+_SMALL_CFG = {"d": -5, "bound": 20, "prec": 60}
+
+
+def _counting_modular_vector(monkeypatch) -> list:
+    """Patch modular.modular_vector to record the family of each call."""
+    calls = []
+    real = modular.modular_vector
+
+    def counting(family, *args, **kwargs):
+        calls.append(family.describe())
+        return real(family, *args, **kwargs)
+
+    monkeypatch.setattr(modular, "modular_vector", counting)
+    return calls
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_pipeline_check_job_reads_its_family_vectors_through_the_cache(tmp_path, monkeypatch, level):
+    """Each default job alone with one shared cache dir: every family vector is summed once."""
+    calls = _counting_modular_vector(monkeypatch)
+    cache = str(tmp_path / "cache")
+
+    def run_each(**changes) -> dict:
+        by_job = {}
+        for job in cli.RunConfig().jobs:
+            _reset_module_caches()
+            calls.clear()
+            cfg = cli.RunConfig(jobs=(job,), cache_dir=cache, level=level, **_SMALL_CFG, **changes)
+            cli.run_pipeline(cfg)
+            if calls:
+                by_job[job] = list(calls)
+        return by_job
+
+    families = [fam.describe() for fam in modular.level_families(level)]
+    first = run_each(out_dir=str(tmp_path / "first"))
+    assert first.pop("vector") == ["j"]
+    assert first == ({} if level == 1 else {"check": families[1:]})
+    assert run_each(out_dir=str(tmp_path / "rerun"), dmax=6) == {}
+
+
+def test_vector_key_names_j_and_fricke_families_canonically():
+    cfg = replace(cli.RunConfig(), **_SMALL_CFG)
+    # the keys of "j" and "fricke:1/2,0" are the raw strings, as before the canonical names
+    for family in ("j", "fricke:1/2,0"):
+        raw = cli._sha256({"v": 1, "vector": {**_SMALL_CFG, "family": family}})
+        assert cli._vector_key(replace(cfg, family=family)) == raw
+        assert cli._vector_key(cfg, family) == raw
+    half = cli._vector_key(cfg, "fricke:1/2,0")
+    assert cli._vector_key(replace(cfg, family="fricke:2/4,0")) == half
+    assert cli._vector_key(cfg, " fricke:3/2,0 ") == half
+    assert cli._vector_key(cfg, "fricke:0,1/2") != half
+    # char: families keep their stripped text, since describe() does not tell them apart
+    assert cli._vector_key(cfg, " char:1,1") == cli._vector_key(cfg, "char:1,1")
+    assert cli._vector_key(cfg, "char:1,1") != cli._vector_key(cfg, "char:2,1")
+
+
+def test_pipeline_check_shares_a_fricke_entry_across_spellings(tmp_path, monkeypatch):
+    calls = _counting_modular_vector(monkeypatch)
+    _reset_module_caches()
+    cfg = cli.RunConfig(
+        jobs=("vector", "check"), level=2, family="fricke:2/4,0", out_dir=str(tmp_path), **_SMALL_CFG
+    )
+    summary = cli.run_pipeline(cfg)
+    assert summary["failed_checks"] == []
+    assert sorted(calls) == sorted(fam.describe() for fam in modular.level_families(2))
+    calls.clear()
+    _reset_module_caches()
+    cached = replace(cfg, jobs=("check",), family="fricke:1/2,0", cache_dir=str(tmp_path / "cache"))
+    assert cli.run_pipeline(cached)["vector_cache"] == "miss"
+    calls.clear()
+    _reset_module_caches()
+    assert cli.run_pipeline(replace(cached, jobs=("vector",), family="fricke:2/4,0"))["vector_cache"] == "hit"
+    assert calls == []
+
+
+def _stamped_bytes(cfg: cli.RunConfig, payload: dict) -> bytes:
+    """check.json as run_pipeline writes it, for a payload computed outside the pipeline."""
+    (entry,) = cli._stamp_files(cfg, cli._sha256(cfg.canonical()), {"check.json": payload}).values()
+    return (json.dumps(entry["data"], sort_keys=True, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("d", [-5, -23, -1, -15, -3])
+def test_pipeline_check_json_is_the_same_through_the_vector_cache(tmp_path, d, level):
+    base = cli.RunConfig(d=d, bound=20, prec=60, level=level, jobs=("check",))
+    cache = str(tmp_path / "cache")
+    _reset_module_caches()
+    fill = cli.run_pipeline(replace(base, out_dir=str(tmp_path / "fill"), cache_dir=cache, dmax=7))
+    assert fill["vector_cache"] == "miss"
+    # dmax is not read by the check: the job entry misses, every vector entry hits
+    _reset_module_caches()
+    warm = cli.run_pipeline(replace(base, out_dir=str(tmp_path / "warm"), cache_dir=cache))
+    assert warm["cache_misses"] == ["check"] and warm["vector_cache"] == "hit"
+    _reset_module_caches()
+    cli.run_pipeline(replace(base, out_dir=str(tmp_path / "uncached")))
+    _reset_module_caches()
+    direct = _stamped_bytes(base, modular.modularity_check(make_field(d), level, 20, 60))
+    assert (tmp_path / "warm" / "check.json").read_bytes() == direct
+    assert (tmp_path / "uncached" / "check.json").read_bytes() == direct
+
+
+def test_pipeline_exits_1_on_a_failed_check_through_the_vector_cache(capsys, tmp_path, monkeypatch):
+    argv = ["pipeline", "--d", "-5", "--bound", "12", "--prec", "60", "--level", "2", "--jobs", "check"]
+    argv += ["--cache-dir", str(tmp_path / "cache")]
+    real = cli.modularity_check
+    monkeypatch.setattr(cli, "modularity_check", lambda *a: {**real(*a), "passed": False})
+    code, cold = run_cli(capsys, *argv, "--dmax", "7", "--out-dir", str(tmp_path / "cold"))
+    assert code == 1 and cold["vector_cache"] == "miss"
+    assert cold["failed_checks"] == ["check.json:passed"]
+    code, cached = run_cli(capsys, *argv, "--out-dir", str(tmp_path / "cached"))
+    assert code == 1 and cached["cache_misses"] == ["check"] and cached["vector_cache"] == "hit"
+    assert cached["failed_checks"] == ["check.json:passed"]
+
+
 def _mpf_tuples():
     return st.builds(from_man_exp, st.integers(-(2**600), 2**600), st.integers(-(2**80), 2**80))
 

@@ -1,7 +1,7 @@
 import math
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 
 import mpmath
@@ -10,14 +10,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wittkit import cli, modular, rayclass
+from wittkit.domains import GUARD_DIGITS
 from wittkit.errors import PrecisionError, UsageError, WittkitError
 from wittkit.modular import (
-    Axiom2Report,
     CharFamily,
     FrickeFamily,
     JFamily,
     char_family_from_ideal,
-    check_deformation_axiom2,
     cm_point,
     eisenstein,
     fricke,
@@ -289,6 +288,72 @@ def test_fricke_family_validation():
         FrickeFamily((Fraction(0), Fraction(3)))
     fam = FrickeFamily((Fraction(1, 2), Fraction(1, 3)))
     assert fam.level == 6
+
+
+# ---------------------------------------------------------------------------
+# deformation axiom 2, the oracle of modular._transport
+
+
+@dataclass
+class Axiom2Report:
+    family: str
+    prec: int
+    n_checks: int
+    tol: float
+    max_residual: float
+    passed: bool
+    entries: list = dc_field(default_factory=list)
+
+
+def _random_sl2_word(rng: random.Random):
+    """A product of 2 to 6 elementary generators of SL2(Z)."""
+    m = ((1, 0), (0, 1))
+    for _ in range(rng.randrange(2, 7)):
+        if rng.random() < 0.5:
+            g = ((1, rng.choice((-1, 1))), (0, 1))
+        else:
+            g = ((1, 0), (rng.choice((-1, 1)), 1))
+        m = modular._mat_mul2(m, g)
+    return m
+
+
+def check_deformation_axiom2(family, samples: int = 6, prec: int = 60, seed: int = 20260823) -> Axiom2Report:
+    """Spot-check f_{a*u}(u**-1 tau) = f_a(tau) for u in SL2(Z); report only.
+
+    Fricke families are checked at power 1.
+    """
+    if isinstance(family, CharFamily):
+        raise UsageError("axiom check covers JFamily and FrickeFamily only")
+    rng = random.Random(seed)
+    mats = [((1, 1), (0, 1)), ((0, -1), (1, 0))]
+    while len(mats) < samples:
+        mats.append(_random_sl2_word(rng))
+    report = Axiom2Report(
+        family=family.describe(),
+        prec=prec,
+        n_checks=0,
+        tol=float(mpmath.mpf(10) ** (-prec // 2)),
+        max_residual=0.0,
+        passed=True,
+    )
+    for u in mats:
+        with mpmath.workdps(prec + GUARD_DIGITS):
+            tau = mpmath.mpc(rng.uniform(-0.45, 0.45), rng.uniform(0.9, 1.6))
+            (ua, ub), (uc, ud) = u
+            tau_inv = (ud * tau - ub) / (-uc * tau + ua)
+        if isinstance(family, JFamily):
+            lhs = j_invariant(tau_inv, prec)
+            rhs = j_invariant(tau, prec)
+        else:
+            lhs = fricke(modular._transport(family.a, u), tau_inv, 1, prec)
+            rhs = fricke(family.a, tau, 1, prec)
+        with mpmath.workdps(prec + GUARD_DIGITS):
+            res = float(abs(lhs - rhs))
+        report.n_checks += 1
+        report.max_residual = max(report.max_residual, res)
+        report.entries.append({"u": u, "tau": str(tau), "residual": res})
+    report.passed = report.max_residual < report.tol
+    return report
 
 
 def test_axiom2_j_and_fricke():
@@ -586,6 +651,22 @@ def test_level_2_components_agree_across_precisions(d):
             for b in xi.ideals():
                 x = xi.value_at(b)
                 assert abs(x - eta.value_at(b)) <= tol * (1 + abs(x))
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda vs: vs[:-1],  # one family short
+        lambda vs: [*vs, vs[0]],  # one too many
+        lambda vs: [],
+        lambda vs: [*vs[:-1], modular_vector(level_families(2)[-1], K5, 12, 40)],  # another precision
+        lambda vs: [*vs[:-1], modular_vector(level_families(2)[-1], K5, 10, 60)],  # another bound
+        lambda vs: [*vs[:-1], modular_vector(level_families(2)[-1], K1, 12, 60)],  # another field
+    ],
+)
+def test_modularity_check_rejects_vectors_that_are_not_its_own(wrong):
+    with pytest.raises(UsageError):
+        modularity_check(K5, 2, 12, 60, wrong(level_family_vectors(K5, 2, 12, 60)))
 
 
 @pytest.mark.parametrize("d", [-1, -3, -5])
