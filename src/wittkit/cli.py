@@ -28,9 +28,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
-import mpmath
-from mpmath.libmp import from_man_exp
-
 from . import algrec, automata, modular, rayclass, witt
 from .domains import BigComplex
 from .errors import (
@@ -41,7 +38,7 @@ from .errors import (
     WittkitError,
     require_int,
 )
-from .modular import modularity_check
+from .modular import _mpc_bits, _mpc_from_bits, modularity_check
 from .qfield import (
     IdealHNF,
     QuadElement,
@@ -616,30 +613,6 @@ def _vector_key(cfg: RunConfig, family: str | None = None) -> str:
     text = (cfg.family if family is None else family).strip()
     name = text if text.startswith("char:") else parse_family(None, text).describe()
     return _sha256({"v": 1, "vector": {"d": cfg.d, "family": name, "bound": cfg.bound, "prec": cfg.prec}})
-
-
-def _mpc_bits(z) -> list:
-    """Each part of z as its mpf tuple [sign, hex(man), exp, bc]."""
-    return [[sign, hex(man), exp, bc] for sign, man, exp, bc in z._mpc_]
-
-
-def _mpc_from_bits(item):
-    """The mpc _mpc_bits wrote; ValueError for anything it could not have written."""
-    if not isinstance(item, list) or len(item) != 2:
-        raise ValueError(item)
-    parts = []
-    for part in item:
-        if not isinstance(part, list) or len(part) != 4:
-            raise ValueError(part)
-        sign, man_hex, exp, bc = part
-        if not isinstance(man_hex, str) or not all(type(v) is int for v in (sign, exp, bc)):
-            raise ValueError(part)
-        man = int(man_hex, 16)
-        mpf = from_man_exp(-man if sign else man, exp)
-        if mpf != (sign, man, exp, bc) or hex(man) != man_hex:
-            raise ValueError(part)
-        parts.append(mpf)
-    return mpmath.mp.make_mpc(tuple(parts))
 
 
 def _vector_from_entry(path: Path, files: dict, field: QuadField, cfg: RunConfig) -> witt.WittVector:

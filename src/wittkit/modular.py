@@ -26,6 +26,14 @@ series (with its j and theta constants) is summed once per distinct numeric
 tau and precision, keyed by tau's bits: the numeric tau depends on the basis
 of the inverse ideal, not only on the point, so keying by the element w1/w2
 of K would let the first ideal enumerated decide another's guard digits.
+Before a j or Fricke vector is evaluated, the distinct series it lacks are
+summed across the CPUs in the process's affinity mask, in shares balanced
+by estimated term count: the process sums one share and forked children
+the others, each sending back the exact bits of its series, so the cache
+holds what one process would have summed.  There is no option; one CPU
+(taskset -c 0), no fork, a second live thread or few series mean one
+process.  A child that fails leaves its share to be summed again here, so
+every error is raised by in-process code, in ideal order.
 The public eisenstein, j_invariant and fricke sum a fresh series on every
 call and serve as the uncached oracle.
 
@@ -36,11 +44,15 @@ partition with the ray classes mod N*O_K.
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import from_man_exp
 
 from .domains import GUARD_DIGITS, BigComplex
 from .errors import PrecisionError, UsageError, WittkitError
@@ -57,7 +69,7 @@ from .qfield import (
     valuation,
 )
 from .rayclass import classify_ideals
-from .witt import WittVector, ideal_label, shift_partitions
+from .witt import WittVector, _ideals, ideal_label, shift_partitions
 
 DEFAULT_PREC = 120
 _TERM_BUDGET = 200000
@@ -588,27 +600,184 @@ def char_family_from_ideal(a: IdealHNF) -> CharFamily:
 
 
 # ---------------------------------------------------------------------------
+# Distinct series summed across CPUs
+
+# each share holds at least this many distinct series, so a fork pays off
+_MIN_SHARE = 4
+
+
+def _mpc_bits(z) -> list:
+    """Each part of z as its mpf tuple [sign, hex(man), exp, bc]."""
+    return [[sign, hex(man), exp, bc] for sign, man, exp, bc in z._mpc_]
+
+
+def _mpc_from_bits(item):
+    """The mpc _mpc_bits wrote; ValueError for anything it could not have written."""
+    if not isinstance(item, list) or len(item) != 2:
+        raise ValueError(item)
+    parts = []
+    for part in item:
+        if not isinstance(part, list) or len(part) != 4:
+            raise ValueError(part)
+        sign, man_hex, exp, bc = part
+        if not isinstance(man_hex, str) or not all(type(v) is int for v in (sign, exp, bc)):
+            raise ValueError(part)
+        man = int(man_hex, 16)
+        mpf = from_man_exp(-man if sign else man, exp)
+        if mpf != (sign, man, exp, bc) or hex(man) != man_hex:
+            raise ValueError(part)
+        parts.append(mpf)
+    return mpmath.mp.make_mpc(tuple(parts))
+
+
+def _series_bits(ser: _Series) -> list:
+    """The seven summed fields of a _Series; j and theta stay lazy."""
+    return [_mpc_bits(ser.tred), list(ser.g), ser.dps, *(_mpc_bits(v) for v in (ser.q, ser.g2, ser.g3, ser.delta))]
+
+
+def _series_from_bits(item) -> _Series:
+    """The _Series _series_bits wrote; ValueError for anything it could not have written."""
+    if not isinstance(item, list) or len(item) != 7:
+        raise ValueError(item)
+    tred, g, dps, *parts = item
+    if not isinstance(g, list) or len(g) != 4 or not all(type(v) is int for v in (*g, dps)):
+        raise ValueError(item)
+    return _Series(_mpc_from_bits(tred), tuple(g), dps, *map(_mpc_from_bits, parts))
+
+
+def _term_estimate(tau, prec) -> float:
+    """About the term count _series will sum at tau, from a float reduction of tau."""
+    t = complex(tau)
+    for _ in range(_REDUCE_MAX):
+        t -= math.floor(t.real + 0.5)
+        if abs(t) >= 1:
+            break
+        t = -1 / t
+    dps = prec + GUARD_DIGITS + 2 * math.pi * math.log10(math.e) * t.imag
+    return (dps + 8) * math.log(10) / (2 * math.pi * t.imag) + 12
+
+
+def _share_count(n: int) -> int:
+    """Processes to sum n distinct series in: one per CPU the process may run on,
+    but one without fork, while a second thread is alive, or for few series."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n // _MIN_SHARE))
+
+
+def _balanced_shares(pending: dict, prec: int) -> list[list]:
+    """The (key, tau) items of `pending` in _share_count shares, longest series
+    first into the share with the fewest estimated terms."""
+    shares = [[] for _ in range(_share_count(len(pending)))]
+    loads = [0.0] * len(shares)
+    costed = sorted(((_term_estimate(tau, prec), key, tau) for key, tau in pending.items()), key=lambda c: -c[0])
+    for cost, key, tau in costed:
+        i = loads.index(min(loads))
+        shares[i].append((key, tau))
+        loads[i] += cost
+    return shares
+
+
+def _sum_share(share, prec: int) -> None:
+    """Sum a share into _SERIES_CACHE, stopping at the first error.
+
+    The error is not raised here: the caller's _cm_series sums that series
+    again, in ideal order, so it surfaces exactly as a serial sweep raises it.
+    """
+    for key, tau in share:
+        try:
+            ser = _series(tau, prec)
+        except Exception:  # re-raised by the caller's own _cm_series
+            return
+        _SERIES_CACHE[key] = ser
+
+
+def _sum_in_child(share, prec: int, fd: int):
+    """In a forked child: write the share's series bits to fd as JSON and exit, never return."""
+    status = 1
+    try:
+        data = json.dumps([_series_bits(_series(tau, prec)) for _, tau in share]).encode()
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _read_to_eof(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _sum_missing_series(points: list[CmPoint], prec: int) -> None:
+    """Fill _SERIES_CACHE for every distinct tau of `points` it lacks, across CPUs.
+
+    Share 0 is summed here, each other share in a forked child that sends
+    back the exact bits of its series.  A child that fails, or whose data
+    does not decode, contributes nothing: _cm_series then sums its share
+    again in-process, so every error comes from in-process code.
+    """
+    pending = {}
+    for pt in points:
+        key = (pt.tau._mpc_, prec)
+        if key not in _SERIES_CACHE:
+            pending.setdefault(key, pt.tau)
+    shares = _balanced_shares(pending, prec)
+    children = []  # (share, pid, read end of its pipe)
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                continue
+            if pid == 0:
+                _sum_in_child(share, prec, w)
+            os.close(w)
+            children.append((share, pid, r))
+        _sum_share(shares[0], prec)
+        sent = [_read_to_eof(r) for _, _, r in children]
+    finally:
+        codes = []
+        for _, pid, r in children:
+            os.close(r)
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for (share, _, _), data, code in zip(children, sent, codes):
+        if code != 0:
+            continue
+        try:
+            series = [_series_from_bits(item) for item in json.loads(data)]
+        except (ValueError, TypeError):
+            continue
+        if len(series) == len(share):
+            _SERIES_CACHE.update((key, ser) for (key, _), ser in zip(share, series))
+
+
+# ---------------------------------------------------------------------------
 # Modular vectors
 
 
-def _cm_series(a: IdealHNF, prec: int) -> _Series:
-    """The series at the CM point of a, summed once per distinct (tau, prec).
+def _cm_series(pt: CmPoint) -> _Series:
+    """The series at a CM point, summed once per distinct (tau, prec).
 
     The key is what _series reads, tau's bits and prec, not the element
     w1/w2 of K: for d = -1 the ideals (5,2,1,1) and (15,6,3,1) both have
     tau = 3/5 + i/5, but the numeric tau of the second differs in the last
     bit, so its components must not reuse the first one's series.
     """
-    tau = cm_point(a, prec).tau
-    key = (tau._mpc_, prec)
+    key = (pt.tau._mpc_, pt.prec)
     ser = _SERIES_CACHE.get(key)
     if ser is None:
-        ser = _SERIES_CACHE[key] = _series(tau, prec)
+        ser = _SERIES_CACHE[key] = _series(pt.tau, pt.prec)
     return ser
 
 
 def _j_component(a: IdealHNF, prec: int):
-    return _checked_j(_cm_series(a, prec), prec)
+    return _checked_j(_cm_series(cm_point(a, prec)), prec)
 
 
 def modular_vector(family, field: QuadField, bound: int, prec: int = DEFAULT_PREC) -> WittVector:
@@ -617,18 +786,22 @@ def modular_vector(family, field: QuadField, bound: int, prec: int = DEFAULT_PRE
         raise UsageError("modular vectors live over imaginary quadratic fields")
     domain = BigComplex(prec)
     k = fricke_power(field.d)
+    ideals = _ideals(field, bound)
+    points = [cm_point(b, prec) for b in ideals]
+    if isinstance(family, (JFamily, FrickeFamily)):
+        _sum_missing_series(points, prec)
     values = {}
-    for b in enumerate_ideals(field, bound):
+    for b, pt in zip(ideals, points):
         if isinstance(family, JFamily):
-            values[b] = _j_component(b, prec)
+            values[b] = _checked_j(_cm_series(pt), prec)
         elif isinstance(family, FrickeFamily):
-            am = _transport(family.a, cm_point(b, prec).matrix)
+            am = _transport(family.a, pt.matrix)
             if am == (0, 0):
-                values[b] = _j_component(b, prec)
+                values[b] = _checked_j(_cm_series(pt), prec)
             else:
-                values[b] = _fricke_at(am, _cm_series(b, prec), k)
+                values[b] = _fricke_at(am, _cm_series(pt), k)
         elif isinstance(family, CharFamily):
-            entries = tuple(tuple(m % family.N for m in row) for row in cm_point(b, prec).matrix)
+            entries = tuple(tuple(m % family.N for m in row) for row in pt.matrix)
             with mpmath.workdps(prec + GUARD_DIGITS):
                 values[b] = mpmath.mpc(1 if entries in family.S else 0)
         else:

@@ -1,5 +1,7 @@
 import math
+import os
 import random
+import threading
 from collections import Counter
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
@@ -461,25 +463,155 @@ def test_same_cm_point_in_k_with_different_tau_bits_keeps_its_own_bits():
     modular.clear_caches()
 
 
-def test_series_summed_once_per_distinct_tau(monkeypatch):
+def test_series_summed_once_per_distinct_tau(monkeypatch, tmp_path):
     """A level-2 sweep sums one series per distinct numeric tau, not per ideal,
-    and each shared series passes the Delta and j cross-checks."""
-    summed = []
+    in this process or in a child summing its share, and each shared series
+    passes the Delta and j cross-checks."""
+    log = tmp_path / "summed"
     real = modular._eis_series
 
     def counting(t):
-        summed.append(t)
+        # appended by whichever process sums t, the forked children included
+        with open(log, "a") as f:
+            f.write(repr(t._mpc_) + "\n")
         return real(t)
 
     monkeypatch.setattr(modular, "_eis_series", counting)
     modular.clear_caches()
     level_family_vectors(K1, 2, 60, 120)
     taus = {cm_point(b, 120).tau._mpc_ for b in enumerate_ideals(K1, 60)}
+    summed = log.read_text().splitlines()
     assert len(taus) == 29
     assert len(summed) == len(taus)
     assert set(modular._SERIES_CACHE) == {(tau, 120) for tau in taus}
+    assert sorted(summed) == sorted(repr(ser.tred._mpc_) for ser in modular._SERIES_CACHE.values())
     for ser in modular._SERIES_CACHE.values():
         assert modular._checked_j(replace(ser, j=None), 120)._mpc_ == ser.j._mpc_
+    modular.clear_caches()
+
+
+def _force_shares(monkeypatch, k):
+    """Let modular_vector sum its series in up to k processes, whatever CPUs this host has."""
+    monkeypatch.setattr(modular.os, "sched_getaffinity", lambda pid: set(range(k)))
+
+
+def _counting_forks(monkeypatch) -> list:
+    forks = []
+    real = os.fork
+
+    def counting():
+        forks.append(None)
+        return real()
+
+    monkeypatch.setattr(modular.os, "fork", counting)
+    return forks
+
+
+@pytest.mark.parametrize("d", [-1, -3, -5, -15])
+def test_series_summed_in_three_processes_keep_every_bit(d, monkeypatch):
+    """Forked shares give the j and level-2 vectors of one process, bit for bit,
+    and the uncached oracle's bits (for d = -1 with the pair (5,2,1,1) and
+    (15,6,3,1), whose taus agree in K but not in their last bit)."""
+    K = make_field(d)
+    prec, bound = 60, 45
+    forks = _counting_forks(monkeypatch)
+
+    def sweep():
+        vectors = []
+        for families in ([JFamily()], level_families(2)):
+            modular.clear_caches()
+            vectors += [modular_vector(fam, K, bound, prec) for fam in families]
+        return vectors
+
+    _force_shares(monkeypatch, 1)
+    serial = sweep()
+    assert not forks
+    _force_shares(monkeypatch, 3)
+    shared = sweep()
+    # two children for each sweep's first vector; the others find every series cached
+    assert len(forks) == 4
+    memo = {}
+    for fam, xi, eta in zip([JFamily(), *level_families(2)], serial, shared):
+        for b in xi.ideals():
+            expect = _uncached_component(fam, b, prec, memo)._mpc_
+            assert xi.value_at(b)._mpc_ == eta.value_at(b)._mpc_ == expect, (fam, b)
+    if d == -1:
+        pair = [shared[0].value_at(b)._mpc_ for b in (IdealHNF(K1, 5, 2, 1, 1), IdealHNF(K1, 15, 6, 3, 1))]
+        assert pair[0] != pair[1]
+    modular.clear_caches()
+
+
+def test_series_error_in_any_share_is_raised_as_one_process_raises_it(monkeypatch):
+    """A series that fails in the parent's share or in a child's is summed again
+    in-process, so the first failing ideal's error is raised, as with k = 1."""
+    prec, bound = 60, 30
+    taus = {}
+    for i, b in enumerate(enumerate_ideals(K5, bound)):
+        taus.setdefault((cm_point(b, prec).tau._mpc_, prec), (i, cm_point(b, prec).tau))
+    _force_shares(monkeypatch, 3)
+    shares = modular._balanced_shares({key: tau for key, (_, tau) in taus.items()}, prec)
+    assert len(shares) == 3
+    # one failing series at the head of each share
+    planted = {modular._series(tau, prec).tred._mpc_: taus[key][0] for key, tau in (share[0] for share in shares)}
+    real = modular._eis_series
+
+    def failing(t):
+        if t._mpc_ in planted:
+            raise PrecisionError(f"planted failure at ideal {planted[t._mpc_]}")
+        return real(t)
+
+    monkeypatch.setattr(modular, "_eis_series", failing)
+    raised = []
+    for k in (1, 3):
+        _force_shares(monkeypatch, k)
+        modular.clear_caches()
+        with pytest.raises(PrecisionError) as err:
+            modular_vector(JFamily(), K5, bound, prec)
+        raised.append(str(err.value))
+    assert raised == [f"planted failure at ideal {min(planted.values())}"] * 2
+    modular.clear_caches()
+
+
+@pytest.mark.parametrize("bad_bits", [lambda bits: ["not a series"], lambda bits: bits[:6]])
+def test_undecodable_child_data_is_summed_again_in_process(bad_bits, monkeypatch):
+    prec, bound = 60, 30
+    _force_shares(monkeypatch, 1)
+    modular.clear_caches()
+    xi = modular_vector(JFamily(), K5, bound, prec)
+    real_bits, real_series = modular._series_bits, modular._eis_series
+    monkeypatch.setattr(modular, "_series_bits", lambda ser: bad_bits(real_bits(ser)))
+    summed_here = []
+
+    def counting(t):
+        summed_here.append(t)
+        return real_series(t)
+
+    monkeypatch.setattr(modular, "_eis_series", counting)
+    forks = _counting_forks(monkeypatch)
+    _force_shares(monkeypatch, 3)
+    modular.clear_caches()
+    eta = modular_vector(JFamily(), K5, bound, prec)
+    assert len(forks) == 2
+    assert len(summed_here) == len(modular._SERIES_CACHE) == 32
+    assert all(xi.value_at(b)._mpc_ == eta.value_at(b)._mpc_ for b in xi.ideals())
+    modular.clear_caches()
+
+
+def test_nothing_forks_while_a_second_thread_is_alive(monkeypatch):
+    _force_shares(monkeypatch, 3)
+    forks = _counting_forks(monkeypatch)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        modular.clear_caches()
+        xi = modular_vector(JFamily(), K5, 30, 60)
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert not forks
+    assert len(xi.ideals()) == 45
     modular.clear_caches()
 
 
