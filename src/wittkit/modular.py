@@ -22,18 +22,21 @@ CM point tau of the inverse ideal with the exact matrix expressing (omega, 1)
 in the chosen lattice basis, which cm_point builds and checks once per ideal
 (characteristic families read it mod N); the result is a Witt vector with
 big-complex components.  The ideals a and n*a share a CM point, so the
-series (with its j and theta constants) is summed once per distinct numeric
-tau and precision, keyed by tau's bits: the numeric tau depends on the basis
-of the inverse ideal, not only on the point, so keying by the element w1/w2
-of K would let the first ideal enumerated decide another's guard digits.
-Before a j or Fricke vector is evaluated, the distinct series it lacks are
-summed across the CPUs in the process's affinity mask, in shares balanced
-by estimated term count: the process sums one share and forked children
-the others, each sending back the exact bits of its series, so the cache
-holds what one process would have summed.  There is no option; one CPU
-(taskset -c 0), no fork, a second live thread or few series mean one
-process.  A child that fails leaves its share to be summed again here, so
-every error is raised by in-process code, in ideal order.
+series (with its j, theta constants and Fricke components) is summed once
+per distinct numeric tau and precision, keyed by tau's bits: the numeric
+tau depends on the basis of the inverse ideal, not only on the point, so
+keying by the element w1/w2 of K would let the first ideal enumerated
+decide another's guard digits.  Before vectors are read off, one sweep
+evaluates everything their families lack at each distinct tau (the
+series, the checked j, each Fricke index) across the CPUs in the process's
+affinity mask, in shares balanced by estimated work: the process takes one
+share and forked children the others, each sending back the exact bits of
+what it computed, so the cache holds what one process would have computed.
+level_family_vectors sweeps all N^2 families at once; modular_vector is the
+one-family case.  There is no option; one CPU (taskset -c 0), no fork, a
+second live thread or little work mean one process.  A child that fails
+leaves its share to be evaluated again here, so every error is raised by
+in-process code, in family and then ideal order.
 The public eisenstein, j_invariant and fricke sum a fresh series on every
 call and serve as the uncached oracle.
 
@@ -48,11 +51,11 @@ import json
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, mpc_add, mpc_div, mpc_mul, mpc_mul_int, mpc_one, mpc_pow_int, mpc_sub, round_nearest
 
 from .domains import GUARD_DIGITS, BigComplex
 from .errors import PrecisionError, UsageError, WittkitError
@@ -152,21 +155,26 @@ def _nterms(im_tau, dps):
 
 
 def _eis_series(t):
-    """(q, g2, g3, Delta) at a reduced tau, Delta via the eta product."""
+    """(q, g2, g3, Delta) at a reduced tau, Delta via the eta product.
+
+    The term loop runs on libmp tuples at mp.prec, rounding to nearest, with
+    the operations the mpc operators would call in the same order, so every
+    bit is theirs; tests/test_modular.py keeps the mpc loop as the oracle.
+    """
     q = mpmath.expjpi(2 * t)
     terms = _nterms(t.imag, mpmath.mp.dps)
-    e4 = mpmath.mpf(1)
-    e6 = mpmath.mpf(1)
-    prod = mpmath.mpf(1)
-    qn = mpmath.mpc(1)
+    prec, rnd = mpmath.mp.prec, round_nearest
+    qv = q._mpc_
+    e4 = e6 = prod = qn = mpc_one
     for n in range(1, terms + 1):
-        qn = qn * q
-        dn = 1 - qn
-        f = qn / dn
+        qn = mpc_mul(qn, qv, prec, rnd)
+        dn = mpc_sub(mpc_one, qn, prec, rnd)
+        f = mpc_div(qn, dn, prec, rnd)
         n3 = n * n * n
-        e4 += 240 * n3 * f
-        e6 -= 504 * n3 * n * n * f
-        prod *= dn**24
+        e4 = mpc_add(e4, mpc_mul_int(f, 240 * n3, prec, rnd), prec, rnd)
+        e6 = mpc_sub(e6, mpc_mul_int(f, 504 * n3 * n * n, prec, rnd), prec, rnd)
+        prod = mpc_mul(prod, mpc_pow_int(dn, 24, prec, rnd), prec, rnd)
+    e4, e6, prod = (mpmath.mp.make_mpc(v) for v in (e4, e6, prod))
     pi4 = mpmath.pi**4
     g2 = (4 * pi4 / 3) * e4
     g3 = (8 * pi4 * mpmath.pi**2 / 27) * e6
@@ -181,7 +189,9 @@ class _Series:
     A pure function of tau's bits and prec, so CM vectors share one per
     distinct (tau, prec) (see _cm_series).  `j` is filled on first request,
     after the Delta and j cross-checks, and `theta` on the first Fricke
-    request.
+    request.  `fricke` maps (index, power) to the Fricke component there
+    (see _fricke_component) and `prefactor` maps a power k to its factor
+    g2*g3/Delta, g2^2/Delta or g3/Delta.
     """
 
     tred: object
@@ -193,6 +203,8 @@ class _Series:
     delta: object
     j: object = None
     theta: _Theta | None = None
+    fricke: dict = dc_field(default_factory=dict)
+    prefactor: dict = dc_field(default_factory=dict)
 
 
 def _series(tau, prec) -> _Series:
@@ -404,11 +416,10 @@ def _fricke_at(a, ser: _Series, k: int):
         if ser.theta is None:
             ser.theta = _theta_constants(ser.tred, ser.dps)
         pval = _wp_theta(w, ser.theta)
-        if k == 1:
-            return ser.g2 * ser.g3 / ser.delta * pval
-        if k == 2:
-            return ser.g2**2 / ser.delta * pval**2
-        return ser.g3 / ser.delta * pval**3
+        pre = ser.prefactor.get(k)
+        if pre is None:
+            pre = ser.prefactor[k] = (ser.g2 * ser.g3 if k == 1 else ser.g2**2 if k == 2 else ser.g3) / ser.delta
+        return pre * (pval if k == 1 else pval**k)
 
 
 def fricke_power(d: int) -> int:
@@ -600,10 +611,35 @@ def char_family_from_ideal(a: IdealHNF) -> CharFamily:
 
 
 # ---------------------------------------------------------------------------
-# Distinct series summed across CPUs
+# Components at distinct CM points, evaluated across CPUs
 
-# each share holds at least this many distinct series, so a fork pays off
-_MIN_SHARE = 4
+
+def _cm_series(tau, prec: int) -> _Series:
+    """The series at a CM point's tau, summed once per distinct (tau, prec).
+
+    The key is what _series reads, tau's bits and prec, not the element
+    w1/w2 of K: for d = -1 the ideals (5,2,1,1) and (15,6,3,1) both have
+    tau = 3/5 + i/5, but the numeric tau of the second differs in the last
+    bit, so its components must not reuse the first one's series.
+    """
+    key = (tau._mpc_, prec)
+    ser = _SERIES_CACHE.get(key)
+    if ser is None:
+        ser = _SERIES_CACHE[key] = _series(tau, prec)
+    return ser
+
+
+def _fricke_component(ser: _Series, a, k: int):
+    """_fricke_at(a, ser, k), evaluated once per series, index and power."""
+    value = ser.fricke.get((a, k))
+    if value is None:
+        value = ser.fricke[(a, k)] = _fricke_at(a, ser, k)
+    return value
+
+
+# a share holds at least this much estimated work (in series terms, about
+# four series at 120 digits), so a fork pays off
+_MIN_SHARE = 200
 
 
 def _mpc_bits(z) -> list:
@@ -631,7 +667,7 @@ def _mpc_from_bits(item):
 
 
 def _series_bits(ser: _Series) -> list:
-    """The seven summed fields of a _Series; j and theta stay lazy."""
+    """The seven summed fields of a _Series; j and Fricke components travel beside them."""
     return [_mpc_bits(ser.tred), list(ser.g), ser.dps, *(_mpc_bits(v) for v in (ser.q, ser.g2, ser.g3, ser.delta))]
 
 
@@ -645,8 +681,13 @@ def _series_from_bits(item) -> _Series:
     return _Series(_mpc_from_bits(tred), tuple(g), dps, *map(_mpc_from_bits, parts))
 
 
-def _term_estimate(tau, prec) -> float:
-    """About the term count _series will sum at tau, from a float reduction of tau."""
+def _work_estimate(tau, prec, series: bool = True, j: bool = False, theta: bool = False, indices: int = 0) -> float:
+    """About the work left at tau, in series terms, from a float reduction of tau.
+
+    The series costs its term count; the checked j about 2 terms; the theta
+    constants, summed to n terms, about n/2; each Fricke index n/2 + 1
+    (measured at 120 digits).
+    """
     t = complex(tau)
     for _ in range(_REDUCE_MAX):
         t -= math.floor(t.real + 0.5)
@@ -654,54 +695,113 @@ def _term_estimate(tau, prec) -> float:
             break
         t = -1 / t
     dps = prec + GUARD_DIGITS + 2 * math.pi * math.log10(math.e) * t.imag
-    return (dps + 8) * math.log(10) / (2 * math.pi * t.imag) + 12
+    terms = (dps + 8) * math.log(10) / (2 * math.pi * t.imag)
+    half_theta = math.sqrt(terms / 2 + 0.0625)  # n/2 for the n of _theta_terms
+    return series * (terms + 12) + 2 * j + theta * half_theta + indices * (half_theta + 1)
 
 
-def _share_count(n: int) -> int:
-    """Processes to sum n distinct series in: one per CPU the process may run on,
-    but one without fork, while a second thread is alive, or for few series."""
+def _share_count(work: float) -> int:
+    """Processes to share `work` out to: one per CPU the process may run on,
+    but one without fork, while a second thread is alive, or for little work."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n // _MIN_SHARE))
+    return max(1, min(len(os.sched_getaffinity(0)), int(work // _MIN_SHARE)))
 
 
-def _balanced_shares(pending: dict, prec: int) -> list[list]:
-    """The (key, tau) items of `pending` in _share_count shares, longest series
-    first into the share with the fewest estimated terms."""
-    shares = [[] for _ in range(_share_count(len(pending)))]
+def _balanced_shares(pending: dict, prec: int, work: dict | None = None) -> list[list]:
+    """The (key, tau) items of `pending` in _share_count shares, most work first
+    into the share with the least; `work` maps a key to its estimate, by
+    default that of its series alone."""
+    if work is None:
+        work = {key: _work_estimate(tau, prec) for key, tau in pending.items()}
+    shares = [[] for _ in range(_share_count(sum(work.values())))]
     loads = [0.0] * len(shares)
-    costed = sorted(((_term_estimate(tau, prec), key, tau) for key, tau in pending.items()), key=lambda c: -c[0])
-    for cost, key, tau in costed:
+    for key, tau in sorted(pending.items(), key=lambda item: -work[item[0]]):
         i = loads.index(min(loads))
         shares[i].append((key, tau))
-        loads[i] += cost
+        loads[i] += work[key]
     return shares
 
 
-def _sum_share(share, prec: int) -> None:
-    """Sum a share into _SERIES_CACHE, stopping at the first error.
+def _evaluate(key, tau, todo, k: int, prec: int) -> _Series:
+    """The series at tau, with its checked j if todo[0] and the Fricke
+    components at the indices todo[1] filled in."""
+    want_j, indices = todo
+    ser = _cm_series(tau, prec)
+    if want_j:
+        _checked_j(ser, prec)
+    for a in indices:
+        _fricke_component(ser, a, k)
+    return ser
 
-    The error is not raised here: the caller's _cm_series sums that series
-    again, in ideal order, so it surfaces exactly as a serial sweep raises it.
+
+def _evaluate_share(share, todo: dict, k: int, prec: int) -> None:
+    """Evaluate a share into _SERIES_CACHE, stopping at the first error.
+
+    The error is not raised here: the caller evaluates what is still
+    missing again, in family and ideal order, so it surfaces exactly as a
+    serial sweep raises it.
     """
     for key, tau in share:
         try:
-            ser = _series(tau, prec)
-        except Exception:  # re-raised by the caller's own _cm_series
+            _evaluate(key, tau, todo[key], k, prec)
+        except Exception:  # re-raised by the caller's in-order pass
             return
-        _SERIES_CACHE[key] = ser
 
 
-def _sum_in_child(share, prec: int, fd: int):
-    """In a forked child: write the share's series bits to fd as JSON and exit, never return."""
+def _evaluate_in_child(share, todo: dict, k: int, prec: int, fd: int):
+    """In a forked child: write the share's results to fd as JSON and exit, never return.
+
+    Per item: the series' bits if the parent lacked it (else null), j's bits
+    if asked for (else null), and the bits of each asked-for Fricke component.
+    """
     status = 1
     try:
-        data = json.dumps([_series_bits(_series(tau, prec)) for _, tau in share]).encode()
+        out = []
+        for key, tau in share:
+            fresh = key not in _SERIES_CACHE
+            ser = _evaluate(key, tau, todo[key], k, prec)
+            want_j, indices = todo[key]
+            out.append(
+                [
+                    _series_bits(ser) if fresh else None,
+                    _mpc_bits(ser.j) if want_j else None,
+                    [_mpc_bits(ser.fricke[(a, k)]) for a in indices],
+                ]
+            )
+        data = json.dumps(out).encode()
         with os.fdopen(fd, "wb") as f:
             f.write(data)
         status = 0
     finally:
         os._exit(status)
+
+
+def _decode_child(share, todo: dict, data: bytes) -> list:
+    """(series or None, j or None, Fricke values) per item of what
+    _evaluate_in_child sent; ValueError or TypeError if it could not have sent it."""
+    items = json.loads(data)
+    if not isinstance(items, list) or len(items) != len(share):
+        raise ValueError(items)
+    out = []
+    for (key, _), item in zip(share, items):
+        want_j, indices = todo[key]
+        if not isinstance(item, list) or len(item) != 3:
+            raise ValueError(item)
+        ser_bits, j_bits, values = item
+        # series bits exactly when this process lacks the series, j's exactly when asked for
+        if (ser_bits is None) != (key in _SERIES_CACHE) or (j_bits is None) == want_j:
+            raise ValueError(item)
+        if not isinstance(values, list) or len(values) != len(indices):
+            raise ValueError(item)
+        out.append(
+            (
+                None if ser_bits is None else _series_from_bits(ser_bits),
+                _mpc_from_bits(j_bits) if want_j else None,
+                [_mpc_from_bits(v) for v in values],
+            )
+        )
+    return out
 
 
 def _read_to_eof(fd: int) -> bytes:
@@ -711,24 +811,43 @@ def _read_to_eof(fd: int) -> bytes:
     return b"".join(chunks)
 
 
-def _sum_missing_series(points: list[CmPoint], prec: int) -> None:
-    """Fill _SERIES_CACHE for every distinct tau of `points` it lacks, across CPUs.
+def _evaluate_missing(points: list[CmPoint], indices: list[list], k: int, prec: int) -> None:
+    """Fill _SERIES_CACHE with every series, j and Fricke component that the
+    families' `indices` (per family, per point: (0, 0) for j, a transported
+    Fricke index, or None) ask for and it lacks, across CPUs.
 
-    Share 0 is summed here, each other share in a forked child that sends
-    back the exact bits of its series.  A child that fails, or whose data
-    does not decode, contributes nothing: _cm_series then sums its share
-    again in-process, so every error comes from in-process code.
+    Share 0 is evaluated here, each other share in a forked child that sends
+    back the exact bits of what it computed.  A child that fails, or whose
+    data does not decode, contributes nothing: the caller then evaluates its
+    share again in-process, so every error comes from in-process code.
     """
-    pending = {}
-    for pt in points:
-        key = (pt.tau._mpc_, prec)
-        if key not in _SERIES_CACHE:
-            pending.setdefault(key, pt.tau)
-    shares = _balanced_shares(pending, prec)
+    wants = {}  # key -> [tau, j asked for, Fricke indices in first-asked order]
+    for family_indices in indices:
+        for pt, a in zip(points, family_indices):
+            if a is None:
+                continue
+            want = wants.setdefault((pt.tau._mpc_, prec), [pt.tau, False, []])
+            if a == (0, 0):
+                want[1] = True
+            elif a not in want[2]:
+                want[2].append(a)
+    pending, todo, work = {}, {}, {}
+    for key, (tau, want_j, asked) in wants.items():
+        ser = _SERIES_CACHE.get(key)
+        want_j = want_j and (ser is None or ser.j is None)
+        asked = tuple(a for a in asked if ser is None or (a, k) not in ser.fricke)
+        if ser is None or want_j or asked:
+            pending[key], todo[key] = tau, (want_j, asked)
+            theta = bool(asked) and (ser is None or ser.theta is None)
+            work[key] = _work_estimate(tau, prec, ser is None, want_j, theta, len(asked))
+    shares = _balanced_shares(pending, prec, work)
     children = []  # (share, pid, read end of its pipe)
     try:
         for share in shares[1:]:
-            r, w = os.pipe()
+            try:
+                r, w = os.pipe()
+            except OSError:  # out of descriptors, say: the share is evaluated here
+                continue
             try:
                 pid = os.fork()
             except OSError:
@@ -736,10 +855,10 @@ def _sum_missing_series(points: list[CmPoint], prec: int) -> None:
                 os.close(w)
                 continue
             if pid == 0:
-                _sum_in_child(share, prec, w)
+                _evaluate_in_child(share, todo, k, prec, w)
             os.close(w)
             children.append((share, pid, r))
-        _sum_share(shares[0], prec)
+        _evaluate_share(shares[0], todo, k, prec)
         sent = [_read_to_eof(r) for _, _, r in children]
     finally:
         codes = []
@@ -750,63 +869,74 @@ def _sum_missing_series(points: list[CmPoint], prec: int) -> None:
         if code != 0:
             continue
         try:
-            series = [_series_from_bits(item) for item in json.loads(data)]
+            results = _decode_child(share, todo, data)
         except (ValueError, TypeError):
             continue
-        if len(series) == len(share):
-            _SERIES_CACHE.update((key, ser) for (key, _), ser in zip(share, series))
+        for (key, _), (ser, jv, values) in zip(share, results):
+            if ser is None:
+                ser = _SERIES_CACHE[key]
+            else:
+                _SERIES_CACHE[key] = ser
+            if jv is not None:
+                ser.j = jv
+            ser.fricke.update(((a, k), v) for a, v in zip(todo[key][1], values))
 
 
 # ---------------------------------------------------------------------------
 # Modular vectors
 
 
-def _cm_series(pt: CmPoint) -> _Series:
-    """The series at a CM point, summed once per distinct (tau, prec).
-
-    The key is what _series reads, tau's bits and prec, not the element
-    w1/w2 of K: for d = -1 the ideals (5,2,1,1) and (15,6,3,1) both have
-    tau = 3/5 + i/5, but the numeric tau of the second differs in the last
-    bit, so its components must not reuse the first one's series.
-    """
-    key = (pt.tau._mpc_, pt.prec)
-    ser = _SERIES_CACHE.get(key)
-    if ser is None:
-        ser = _SERIES_CACHE[key] = _series(pt.tau, pt.prec)
-    return ser
-
-
 def _j_component(a: IdealHNF, prec: int):
-    return _checked_j(_cm_series(cm_point(a, prec)), prec)
+    return _checked_j(_cm_series(cm_point(a, prec).tau, prec), prec)
 
 
-def modular_vector(family, field: QuadField, bound: int, prec: int = DEFAULT_PREC) -> WittVector:
-    """Evaluate the family at every integral ideal of norm <= bound."""
+def _family_index(family, pt: CmPoint):
+    """What a family reads at a CM point: (0, 0) for j, the Fricke index
+    carried along the point's matrix, or None for a characteristic family."""
+    if isinstance(family, JFamily):
+        return (0, 0)
+    if isinstance(family, FrickeFamily):
+        return _transport(family.a, pt.matrix)
+    if isinstance(family, CharFamily):
+        return None
+    raise UsageError(f"unknown deformation family {family!r}")
+
+
+def _family_vectors(families: list, field: QuadField, bound: int, prec: int) -> list[WittVector]:
+    """Evaluate each family at every integral ideal of norm <= bound.
+
+    The j and Fricke components of all families are first evaluated once
+    per distinct CM point across CPUs (_evaluate_missing); the vectors are
+    then read off in family and ideal order, evaluating here whatever is
+    still missing, so an error is the one a serial sweep raises first.
+    """
     if field.is_rational:
         raise UsageError("modular vectors live over imaginary quadratic fields")
     domain = BigComplex(prec)
     k = fricke_power(field.d)
     ideals = _ideals(field, bound)
     points = [cm_point(b, prec) for b in ideals]
-    if isinstance(family, (JFamily, FrickeFamily)):
-        _sum_missing_series(points, prec)
-    values = {}
-    for b, pt in zip(ideals, points):
-        if isinstance(family, JFamily):
-            values[b] = _checked_j(_cm_series(pt), prec)
-        elif isinstance(family, FrickeFamily):
-            am = _transport(family.a, pt.matrix)
-            if am == (0, 0):
-                values[b] = _checked_j(_cm_series(pt), prec)
+    indices = [[_family_index(fam, pt) for pt in points] for fam in families]
+    _evaluate_missing(points, indices, k, prec)
+    vectors = []
+    for family, family_indices in zip(families, indices):
+        values = {}
+        for b, pt, a in zip(ideals, points, family_indices):
+            if a is None:
+                entries = tuple(tuple(m % family.N for m in row) for row in pt.matrix)
+                with mpmath.workdps(prec + GUARD_DIGITS):
+                    values[b] = mpmath.mpc(1 if entries in family.S else 0)
+            elif a == (0, 0):
+                values[b] = _checked_j(_cm_series(pt.tau, prec), prec)
             else:
-                values[b] = _fricke_at(am, _cm_series(pt), k)
-        elif isinstance(family, CharFamily):
-            entries = tuple(tuple(m % family.N for m in row) for row in pt.matrix)
-            with mpmath.workdps(prec + GUARD_DIGITS):
-                values[b] = mpmath.mpc(1 if entries in family.S else 0)
-        else:
-            raise UsageError(f"unknown deformation family {family!r}")
-    return WittVector(field, domain, bound, values=values)
+                values[b] = _fricke_component(_cm_series(pt.tau, prec), a, k)
+        vectors.append(WittVector(field, domain, bound, values=values))
+    return vectors
+
+
+def modular_vector(family, field: QuadField, bound: int, prec: int = DEFAULT_PREC) -> WittVector:
+    """Evaluate the family at every integral ideal of norm <= bound."""
+    return _family_vectors([family], field, bound, prec)[0]
 
 
 def level_families(N: int) -> list:
@@ -821,7 +951,7 @@ def level_families(N: int) -> list:
 
 def level_family_vectors(field: QuadField, N: int, bound: int, prec: int = DEFAULT_PREC) -> list[WittVector]:
     """Vectors for every index a in (1/N)Z^2 / Z^2; a = 0 contributes j."""
-    return [modular_vector(fam, field, bound, prec) for fam in level_families(N)]
+    return _family_vectors(level_families(N), field, bound, prec)
 
 
 # ---------------------------------------------------------------------------

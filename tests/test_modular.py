@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import random
@@ -517,18 +518,18 @@ def test_series_summed_in_three_processes_keep_every_bit(d, monkeypatch):
     forks = _counting_forks(monkeypatch)
 
     def sweep():
-        vectors = []
-        for families in ([JFamily()], level_families(2)):
-            modular.clear_caches()
-            vectors += [modular_vector(fam, K, bound, prec) for fam in families]
-        return vectors
+        modular.clear_caches()
+        vectors = [modular_vector(JFamily(), K, bound, prec)]
+        modular.clear_caches()
+        return vectors + level_family_vectors(K, 2, bound, prec)
 
     _force_shares(monkeypatch, 1)
     serial = sweep()
     assert not forks
     _force_shares(monkeypatch, 3)
     shared = sweep()
-    # two children for each sweep's first vector; the others find every series cached
+    # two children per call: the j vector's, and level_family_vectors' one
+    # sweep over all four level-2 families
     assert len(forks) == 4
     memo = {}
     for fam, xi, eta in zip([JFamily(), *level_families(2)], serial, shared):
@@ -615,6 +616,243 @@ def test_nothing_forks_while_a_second_thread_is_alive(monkeypatch):
     modular.clear_caches()
 
 
+def _family_components(vectors) -> list:
+    return [[xi.value_at(b)._mpc_ for b in xi.ideals()] for xi in vectors]
+
+
+@pytest.mark.parametrize("d", [-1, -3, -5, -15])
+def test_components_evaluated_in_three_processes_keep_every_bit(d, monkeypatch):
+    """Level-2 and level-3 vectors whose j and Fricke components are evaluated
+    in three shares equal one process's and the uncached oracle's, bit for
+    bit, whether the families come in one sweep or one modular_vector each."""
+    K = make_field(d)
+    prec, bound = 60, 45
+
+    def sweeps():
+        out = []
+        for N in (2, 3):
+            modular.clear_caches()
+            out += level_family_vectors(K, N, bound, prec)
+        for fam in level_families(2):
+            modular.clear_caches()
+            out.append(modular_vector(fam, K, bound, prec))
+        return out
+
+    _force_shares(monkeypatch, 1)
+    serial = _family_components(sweeps())
+    forks = _counting_forks(monkeypatch)
+    _force_shares(monkeypatch, 3)
+    shared = _family_components(sweeps())
+    # two children per sweep: two level_family_vectors and four modular_vector calls
+    assert len(forks) == 2 * 6
+    assert shared == serial
+    memo = {}
+    families = [*level_families(2), *level_families(3), *level_families(2)]
+    for fam, components in zip(families, serial):
+        expect = [_uncached_component(fam, b, prec, memo)._mpc_ for b in enumerate_ideals(K, bound)]
+        assert components == expect, fam
+    modular.clear_caches()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_level_family_vectors_forks_k_minus_1_children_per_call(k, monkeypatch):
+    _force_shares(monkeypatch, k)
+    forks = _counting_forks(monkeypatch)
+    modular.clear_caches()
+    level_family_vectors(K5, 2, 45, 60)
+    assert len(forks) == k - 1
+    # every series and j is cached: the level-3 Fricke components are what is
+    # left, and the children's come back rather than being evaluated here
+    for ser in modular._SERIES_CACHE.values():
+        ser.fricke.clear()
+    evaluated_here = []
+    real = modular._fricke_at
+
+    def counting(a, ser, power):
+        evaluated_here.append(a)
+        return real(a, ser, power)
+
+    monkeypatch.setattr(modular, "_fricke_at", counting)
+    level_family_vectors(K5, 3, 45, 60)
+    assert len(forks) == 2 * (k - 1)
+    assert 0 < len(evaluated_here) < sum(len(ser.fricke) for ser in modular._SERIES_CACHE.values())
+    # nothing is left to evaluate
+    level_family_vectors(K5, 3, 45, 60)
+    assert len(forks) == 2 * (k - 1)
+    modular.clear_caches()
+
+
+def _first_fricke_reads(K, N, bound, prec) -> dict:
+    """For each CM point's tau key, the first (family, ideal) position in
+    level_families(N) order that evaluates a Fricke component there."""
+    first = {}
+    for f, fam in enumerate(level_families(N)):
+        for i, b in enumerate(enumerate_ideals(K, bound)):
+            pt = cm_point(b, prec)
+            if f and modular._transport(fam.a, pt.matrix) != (0, 0):
+                first.setdefault((pt.tau._mpc_, prec), (f, i))
+    return first
+
+
+@pytest.mark.parametrize("target", ["_theta_constants", "_fricke_at"])
+def test_fricke_error_in_any_share_is_raised_as_one_process_raises_it(target, monkeypatch):
+    """A theta or Fricke failure at the head of each share, in the parent's or a
+    child's, is evaluated again in-process: the error of the first failing
+    component in family and ideal order is raised, as with k = 1."""
+    prec, bound, N = 60, 30, 3
+    shares = []
+    real_shares = modular._balanced_shares
+
+    def recording(*args):
+        shares[:] = real_shares(*args)
+        return shares
+
+    monkeypatch.setattr(modular, "_balanced_shares", recording)
+    _force_shares(monkeypatch, 3)
+    modular.clear_caches()
+    level_family_vectors(K5, N, bound, prec)
+    assert len(shares) == 3
+    first = _first_fricke_reads(K5, N, bound, prec)
+    planted = {modular._SERIES_CACHE[key].tred._mpc_: first[key] for key, _ in (share[0] for share in shares)}
+    real = getattr(modular, target)
+
+    def failing(*args):
+        t = args[0] if target == "_theta_constants" else args[1].tred
+        if t._mpc_ in planted:
+            raise PrecisionError(f"planted failure at family {planted[t._mpc_][0]}, ideal {planted[t._mpc_][1]}")
+        return real(*args)
+
+    monkeypatch.setattr(modular, target, failing)
+    raised = []
+    for k in (1, 3):
+        _force_shares(monkeypatch, k)
+        modular.clear_caches()
+        with pytest.raises(PrecisionError) as err:
+            level_family_vectors(K5, N, bound, prec)
+        raised.append(str(err.value))
+    f, i = min(planted.values())
+    assert raised == [f"planted failure at family {f}, ideal {i}"] * 2
+    modular.clear_caches()
+
+
+@pytest.mark.parametrize("bad_bits", [lambda bits: bits[:1], lambda bits: [[0, "1", 0, 1], bits[1]]])
+def test_undecodable_child_components_are_evaluated_again_in_process(bad_bits, monkeypatch):
+    prec, bound = 60, 30
+    _force_shares(monkeypatch, 1)
+    modular.clear_caches()
+    serial = _family_components(level_family_vectors(K5, 3, bound, prec))
+    n_fricke = sum(len(ser.fricke) for ser in modular._SERIES_CACHE.values())
+    # the series and j are cached; the children evaluate only Fricke components
+    for ser in modular._SERIES_CACHE.values():
+        ser.fricke.clear()
+        ser.theta = None
+    real_bits, real_fricke = modular._mpc_bits, modular._fricke_at
+    monkeypatch.setattr(modular, "_mpc_bits", lambda z: bad_bits(real_bits(z)))
+    evaluated_here = []
+
+    def counting(a, ser, k):
+        evaluated_here.append(a)
+        return real_fricke(a, ser, k)
+
+    monkeypatch.setattr(modular, "_fricke_at", counting)
+    forks = _counting_forks(monkeypatch)
+    _force_shares(monkeypatch, 3)
+    shared = _family_components(level_family_vectors(K5, 3, bound, prec))
+    assert len(forks) == 2
+    assert len(evaluated_here) == n_fricke > 0
+    assert shared == serial
+    modular.clear_caches()
+
+
+def test_a_failed_pipe_leaves_its_share_to_this_process(monkeypatch):
+    """Out of file descriptors, no child is forked and the vectors are one process's."""
+    prec, bound = 60, 30
+    _force_shares(monkeypatch, 1)
+    modular.clear_caches()
+    serial = _family_components(level_family_vectors(K5, 2, bound, prec))
+
+    def no_pipe():
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    monkeypatch.setattr(modular.os, "pipe", no_pipe)
+    forks = _counting_forks(monkeypatch)
+    _force_shares(monkeypatch, 3)
+    modular.clear_caches()
+    assert _family_components(level_family_vectors(K5, 2, bound, prec)) == serial
+    assert not forks
+    modular.clear_caches()
+
+
+def _fricke_at_unmemoised(a, ser, k):
+    """modular._fricke_at as it was before its prefactor was kept per series."""
+    p, q_, r, s = ser.g
+    b1, b2 = modular._transport(a, ((s, -q_), (-r, p)))
+    with mpmath.workdps(ser.dps):
+        z = modular._frac_mpf(b1) * ser.tred + modular._frac_mpf(b2)
+        _, w = modular._reduce_z(z, ser.tred, ser.dps)
+        pval = modular._wp_theta(w, modular._theta_constants(ser.tred, ser.dps))
+        if k == 1:
+            return ser.g2 * ser.g3 / ser.delta * pval
+        if k == 2:
+            return ser.g2**2 / ser.delta * pval**2
+        return ser.g3 / ser.delta * pval**3
+
+
+@pytest.mark.parametrize("d", [-1, -3, -5])
+def test_fricke_prefactor_kept_per_series_keeps_every_bit(d):
+    """d = -1, -3, -5 take the powers 2, 3, 1."""
+    prec = 60
+    modular.clear_caches()
+    level_family_vectors(make_field(d), 3, 20, prec)
+    checked = 0
+    for (tau_bits, _), ser in modular._SERIES_CACHE.items():
+        fresh = modular._series(mpmath.mp.make_mpc(tau_bits), prec)
+        for (a, k), value in ser.fricke.items():
+            assert k == fricke_power(d)
+            assert value._mpc_ == _fricke_at_unmemoised(a, fresh, k)._mpc_, (a, k)
+            checked += 1
+    assert checked > 20
+    modular.clear_caches()
+
+
+def _eis_series_mpc(t):
+    """modular._eis_series's term loop on mpc operators, as it was before the libmp loop."""
+    q = mpmath.expjpi(2 * t)
+    terms = modular._nterms(t.imag, mpmath.mp.dps)
+    e4 = mpmath.mpf(1)
+    e6 = mpmath.mpf(1)
+    prod = mpmath.mpf(1)
+    qn = mpmath.mpc(1)
+    for n in range(1, terms + 1):
+        qn = qn * q
+        dn = 1 - qn
+        f = qn / dn
+        n3 = n * n * n
+        e4 += 240 * n3 * f
+        e6 -= 504 * n3 * n * n * f
+        prod *= dn**24
+    pi4 = mpmath.pi**4
+    g2 = (4 * pi4 / 3) * e4
+    g3 = (8 * pi4 * mpmath.pi**2 / 27) * e6
+    delta = (2 * mpmath.pi) ** 12 * q * prod
+    return q, g2, g3, delta
+
+
+@pytest.mark.parametrize("d", [-1, -3, -5, -15, -23])
+def test_libmp_eisenstein_loop_keeps_the_mpc_loops_bits(d):
+    K = make_field(d)
+    taus = {}
+    for prec in (60, 120):
+        for b in enumerate_ideals(K, 30):
+            tau = cm_point(b, prec).tau
+            taus[(tau._mpc_, prec)] = (tau, prec)
+    for tau, prec in taus.values():
+        tred, _, dps = modular._reduced_with_guard(tau, prec)
+        with mpmath.workdps(dps):
+            got = [v._mpc_ for v in modular._eis_series(tred)]
+            assert got == [v._mpc_ for v in _eis_series_mpc(tred)], (tau, prec)
+
+
 def test_clear_caches_empties_every_modular_cache():
     modular.clear_caches()
     level_family_vectors(K5, 2, 6, 40)
@@ -627,15 +865,18 @@ def test_clear_caches_empties_every_modular_cache():
 
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_modularity_check_names_the_families_it_compares(level, monkeypatch):
-    compared = []
-    real = modular.modular_vector
+    sweeps = []
+    real = modular._family_vectors
 
-    def recording(family, field, bound, prec):
-        compared.append(family.describe())
-        return real(family, field, bound, prec)
+    def recording(families, field, bound, prec):
+        sweeps.append([family.describe() for family in families])
+        return real(families, field, bound, prec)
 
-    monkeypatch.setattr(modular, "modular_vector", recording)
+    monkeypatch.setattr(modular, "_family_vectors", recording)
     result = modular.modularity_check(K5, level, 6, 60)
+    # one sweep evaluates every family
+    assert len(sweeps) == 1
+    compared = sweeps[0]
     assert result["families"] == compared
     assert len(set(compared)) == len(compared) == level * level
     assert compared[0] == "j"
