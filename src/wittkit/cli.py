@@ -496,11 +496,15 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     return cfg
 
 
-def _compute_job(cfg: RunConfig, field: QuadField, job: str, get_vector) -> dict:
+def _compute_job(cfg: RunConfig, field: QuadField, job: str, get_vectors) -> dict:
     """One job's files: an unstamped payload per .json name, text for the rest.
 
-    get_vector(family) gives a family's vector, the config's by default.
+    get_vectors(families) gives each named family's vector.
     """
+
+    def get_vector() -> witt.WittVector:
+        return get_vectors([cfg.family])[0]
+
     P = cfg.prime_norm_bound
     if job == "field":
         return {"field.json": field_info_payload(field, P)}
@@ -523,7 +527,7 @@ def _compute_job(cfg: RunConfig, field: QuadField, job: str, get_vector) -> dict
     if job == "certify":
         return {"certify.json": algrec.certify_vector(get_vector(), dmax=cfg.dmax).to_json()}
     if job == "check":
-        vectors = [get_vector(fam.describe()) for fam in modular.level_families(cfg.level)]
+        vectors = get_vectors([fam.describe() for fam in modular.level_families(cfg.level)])
         return {"check.json": modularity_check(field, cfg.level, cfg.bound, cfg.prec, vectors)}
     raise UsageError(f"unknown job {job!r}")
 
@@ -642,23 +646,30 @@ def run_pipeline(cfg: RunConfig) -> dict:
     vector_cache = None
     vectors: dict[str, witt.WittVector] = {}
 
-    def get_vector(family: str = cfg.family) -> witt.WittVector:
+    def get_vectors(families: list[str]) -> list[witt.WittVector]:
+        """Each family's vector: from this run, else the cache, else summed, all
+        the missing families in one modular sweep."""
         nonlocal vector_cache
-        key = _vector_key(cfg, family)
-        if key in vectors:
-            return vectors[key]
-        files = _cache_load(cache_dir, key) if cache_dir else None
-        if files is not None:
-            xi = _vector_from_entry(cache_dir / f"{key}.json", files, field, cfg)
-            vector_cache = vector_cache or "hit"
-        else:
-            xi = modular.modular_vector(parse_family(field, family), field, cfg.bound, cfg.prec)
+        keys = [_vector_key(cfg, family) for family in families]
+        missing = {}
+        for key, family in zip(keys, families):
+            if key in vectors:
+                continue
+            files = _cache_load(cache_dir, key) if cache_dir else None
+            if files is not None:
+                vectors[key] = _vector_from_entry(cache_dir / f"{key}.json", files, field, cfg)
+                vector_cache = vector_cache or "hit"
+            else:
+                missing[key] = parse_family(field, family)
+        if len(missing) > 1:
+            modular.sweep_families(list(missing.values()), field, cfg.bound, cfg.prec)
+        for key, family in missing.items():
+            xi = vectors[key] = modular.modular_vector(family, field, cfg.bound, cfg.prec)
             if cache_dir:
                 bits = [_mpc_bits(xi.value_at(a)) for a in xi.ideals()]
                 _cache_store(cache_dir, key, {_VECTOR_FILE: {"type": "json", "data": {"values": bits}}})
                 vector_cache = "miss"
-        vectors[key] = xi
-        return xi
+        return [vectors[key] for key in keys]
 
     hits, misses, failed = [], [], []
     artifacts: dict[str, list[str]] = {}
@@ -666,7 +677,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         key = _sha256({"v": 1, "job": job, "config": canonical})
         files = _cache_load(cache_dir, key) if cache_dir else None
         if files is None:
-            files = _stamp_files(cfg, cfg_hash, _compute_job(cfg, field, job, get_vector))
+            files = _stamp_files(cfg, cfg_hash, _compute_job(cfg, field, job, get_vectors))
             if cache_dir:
                 _cache_store(cache_dir, key, files)
             misses.append(job)

@@ -7,6 +7,10 @@ fixed working precision; eq is gap < tol, with tol = 10^(-prec/2) fixed at
 construction).  The exact domains certify integrality and divisibility;
 BigComplex refuses to, loudly.
 
+BigComplex decides gap < cap from the binades of the rounded difference
+x - y wherever they settle it, and takes the square root only in the two
+binades below cap's own; the verdict is always the one the exact gap gives.
+
 Each domain owns its identity: to_json() is the descriptor a stored vector
 carries, and domain_from_json reads one back.  Cyclotomic domains are equal
 by conductor and big-complex ones by precision; a number field equals only
@@ -18,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import dps_to_prec, mpf_hypot, mpf_lt, mpf_pos, mpf_sub, round_nearest
 
 from .cyclotomic import ExactCyclotomic, cyclo_context, power
 from .errors import CertificationError, PrecisionError, UsageError, require_int
@@ -50,6 +55,7 @@ class BigComplex:
             raise UsageError(f"precision {prec} is too low to certify anything")
         self.prec = prec
         self.workdps = prec + GUARD_DIGITS
+        self._bits = dps_to_prec(self.workdps)
         with mpmath.workdps(self.workdps):
             self.tol = mpmath.mpf(10) ** (-Fraction(prec, 2))
 
@@ -66,12 +72,41 @@ class BigComplex:
         return {"kind": self.kind, "prec": self.prec}
 
     def eq(self, x, y) -> bool:
-        return self.gap(x, y) < self.tol
+        return self.below(x, y, self.tol)
 
     def gap(self, x, y):
         """|x - y| at the working precision."""
+        return mpmath.mp.make_mpf(mpf_hypot(*self._difference(x, y), self._bits, round_nearest))
+
+    def below(self, x, y, cap) -> bool:
+        """gap(x, y) < cap, read off the binade of x - y where that settles it."""
+        diff = self._difference(x, y)
+        cap = mpmath.mpmathify(cap)._mpf_
+        verdict = _binade_verdict(diff, cap)
+        if verdict is None:
+            return mpf_lt(mpf_hypot(*diff, self._bits, round_nearest), cap)
+        return verdict
+
+    def gap_unless_below(self, x, y, floor):
+        """gap(x, y), or None when the binade of x - y alone shows gap(x, y) < floor."""
+        diff = self._difference(x, y)
+        if _binade_verdict(diff, mpmath.mpmathify(floor)._mpf_):
+            return None
+        return mpmath.mp.make_mpf(mpf_hypot(*diff, self._bits, round_nearest))
+
+    def _difference(self, x, y):
+        """libmp parts of mpc(x) - mpc(y) as the working precision rounds them."""
+        (a, b), (c, d) = self._parts(x), self._parts(y)
+        bits = self._bits
+        return mpf_sub(a, c, bits, round_nearest), mpf_sub(b, d, bits, round_nearest)
+
+    def _parts(self, x):
+        """The libmp parts of mpc(x) at the working precision."""
+        if isinstance(x, mpmath.mpc):
+            re, im = x._mpc_
+            return mpf_pos(re, self._bits, round_nearest), mpf_pos(im, self._bits, round_nearest)
         with mpmath.workdps(self.workdps):
-            return abs(mpmath.mpc(x) - mpmath.mpc(y))
+            return mpmath.mpc(x)._mpc_
 
     def add(self, x, y):
         with mpmath.workdps(self.workdps):
@@ -114,6 +149,33 @@ class BigComplex:
     def value_from_json(self, data):
         with mpmath.workdps(self.workdps):
             return mpmath.mpc(mpmath.mpf(data[0]), mpmath.mpf(data[1]))
+
+
+def _binade_verdict(parts, cap):
+    """Whether the complex number with libmp parts `parts` has modulus < cap,
+    when binades alone decide it; None when they do not.
+
+    With t the larger exp + bc of the nonzero parts (so the larger part lies
+    in [2^(t-1), 2^t)) and c that of cap, the modulus, and so its correctly
+    rounded square root (mpf_hypot), lies in [2^(t-1), 1.5 * 2^t]: below cap
+    when t <= c - 2 and at least 2^c > cap when t > c.  Zero parts give 0.
+    A nan or infinite part (mantissa 0, exponent nonzero), or a cap that is
+    not a positive finite number, leaves the verdict to the exact gap.
+    """
+    sign, man, exp, bc = cap
+    if sign or not man:
+        return None
+    c = exp + bc
+    t = None
+    for _, man, exp, bc in parts:
+        if man:
+            if t is None or exp + bc > t:
+                t = exp + bc
+        elif exp:
+            return None
+    if t is None or t <= c - 2:
+        return True
+    return False if t > c else None
 
 
 def _poly_trim(cs: list[Fraction]) -> list[Fraction]:

@@ -33,10 +33,11 @@ affinity mask, in shares balanced by estimated work: the process takes one
 share and forked children the others, each sending back the exact bits of
 what it computed, so the cache holds what one process would have computed.
 level_family_vectors sweeps all N^2 families at once; modular_vector is the
-one-family case.  There is no option; one CPU (taskset -c 0), no fork, a
-second live thread or little work mean one process.  A child that fails
-leaves its share to be evaluated again here, so every error is raised by
-in-process code, in family and then ideal order.
+one-family case, and sweep_families the sweep alone.  There is no option;
+one CPU (taskset -c 0), no fork, a second live thread or little work mean
+one process.  A child that fails leaves its share to be evaluated again
+here, so every error is raised by in-process code, in family and then ideal
+order.
 The public eisenstein, j_invariant and fricke sum a fresh series on every
 call and serve as the uncached oracle.
 
@@ -63,7 +64,6 @@ from .qfield import (
     IdealHNF,
     QuadElement,
     QuadField,
-    enumerate_ideals,
     ideal_add,
     ideal_inverse,
     ideal_from_elements,
@@ -902,22 +902,35 @@ def _family_index(family, pt: CmPoint):
     raise UsageError(f"unknown deformation family {family!r}")
 
 
-def _family_vectors(families: list, field: QuadField, bound: int, prec: int) -> list[WittVector]:
-    """Evaluate each family at every integral ideal of norm <= bound.
+def sweep_families(families: list, field: QuadField, bound: int, prec: int):
+    """Evaluate, once per distinct CM point and across CPUs (_evaluate_missing),
+    every j and Fricke component the families read at the integral ideals of
+    norm <= bound and the caches lack.
 
-    The j and Fricke components of all families are first evaluated once
-    per distinct CM point across CPUs (_evaluate_missing); the vectors are
-    then read off in family and ideal order, evaluating here whatever is
-    still missing, so an error is the one a serial sweep raises first.
+    Returns the ideals, their CM points, each family's indices there and the
+    Fricke power.  A family swept here is read off by modular_vector with no
+    further summing.
     """
     if field.is_rational:
         raise UsageError("modular vectors live over imaginary quadratic fields")
-    domain = BigComplex(prec)
     k = fricke_power(field.d)
     ideals = _ideals(field, bound)
     points = [cm_point(b, prec) for b in ideals]
     indices = [[_family_index(fam, pt) for pt in points] for fam in families]
     _evaluate_missing(points, indices, k, prec)
+    return ideals, points, indices, k
+
+
+def _family_vectors(families: list, field: QuadField, bound: int, prec: int) -> list[WittVector]:
+    """Evaluate each family at every integral ideal of norm <= bound.
+
+    The j and Fricke components of all families are first evaluated in one
+    sweep (sweep_families); the vectors are then read off in family and
+    ideal order, evaluating here whatever is still missing, so an error is
+    the one a serial sweep raises first.
+    """
+    ideals, points, indices, k = sweep_families(families, field, bound, prec)
+    domain = BigComplex(prec)
     vectors = []
     for family, family_indices in zip(families, indices):
         values = {}
@@ -979,7 +992,7 @@ def modularity_check(field: QuadField, level: int, bound: int, prec: int, vector
     for fam, xi in zip(families, vectors):
         if xi.field != field or xi.bound != bound or xi.domain != domain:
             raise UsageError(f"the {fam.describe()} vector is not over d={field.d}, bound {bound}, {domain!r}")
-    ideals = list(enumerate_ideals(field, bound))
+    ideals = list(_ideals(field, bound))
     tol_digits = prec // 3
     with mpmath.workdps(prec + GUARD_DIGITS):
         tol = mpmath.mpf(10) ** -tol_digits

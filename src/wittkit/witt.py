@@ -17,6 +17,7 @@ else falls back to honest component-wise computation.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
@@ -74,10 +75,11 @@ class WittVector:
     value_at evaluates each residue once and keeps it in _residues: ideals
     with the same residue share one value dict.  Sharing is safe because no
     operation mutates a value in place (constant_vector shares one value
-    across every ideal in the same way).
+    across every ideal in the same way).  ideals_to keeps each prefix of
+    ideals() it has cut in _prefixes.
     """
 
-    __slots__ = ("field", "domain", "bound", "gring", "gring_L", "_values", "_residues")
+    __slots__ = ("field", "domain", "bound", "gring", "gring_L", "_values", "_residues", "_prefixes")
 
     def __init__(self, field, domain, bound, values=None, gring=None, gring_L=1):
         if bound < 1:
@@ -89,6 +91,7 @@ class WittVector:
         self.gring_L = gring_L
         self._values = dict(values) if values else {}
         self._residues: dict[int, dict] = {}
+        self._prefixes: dict[int, tuple[IdealHNF, ...]] = {}
         if gring is not None:
             if not field.is_rational:
                 raise UsageError("group-ring presentations exist only over Q")
@@ -103,6 +106,14 @@ class WittVector:
 
     def ideals(self) -> tuple[IdealHNF, ...]:
         return _ideals(self.field, self.bound)
+
+    def ideals_to(self, bound: int) -> tuple[IdealHNF, ...]:
+        """The ideals of norm <= bound: a prefix of ideals(), which is sorted by norm first."""
+        out = self._prefixes.get(bound)
+        if out is None:
+            ideals = self.ideals()
+            out = self._prefixes[bound] = ideals[: bisect_right(ideals, bound, key=IdealHNF.norm)]
+        return out
 
     def value_at(self, a: IdealHNF):
         if self.gring is None:
@@ -671,7 +682,7 @@ def _common_ideals(xi: WittVector, a: IdealHNF, b: IdealHNF, na: int, nb: int):
             f"cannot compare shifts by {ideal_label(a)} and {ideal_label(b)} "
             f"within bound {xi.bound}"
         )
-    return _ideals(xi.field, common)
+    return xi.ideals_to(common)
 
 
 def _shift_pairs(vectors, a: IdealHNF, b: IdealHNF, products: dict):
@@ -693,11 +704,16 @@ def _shift_gap(vectors, a: IdealHNF, b: IdealHNF, products: dict, cap):
     """Largest component gap between psi_a and psi_b over every vector.
 
     The scan stops at the first gap >= cap and returns it, so the result is
-    below cap exactly when every gap is.
+    below cap exactly when every gap is.  A gap is computed only where the
+    domain cannot show from binades that it is below the largest one so far
+    (BigComplex.gap_unless_below): such a gap, being below cap too, changes
+    neither the stop nor the maximum.
     """
     worst = 0
     for dom, x, y in _shift_pairs(vectors, a, b, products):
-        g = dom.gap(x, y)
+        g = dom.gap_unless_below(x, y, worst)
+        if g is None:
+            continue
         if g >= cap:
             return g
         worst = max(worst, g)
@@ -908,8 +924,8 @@ def shift_partitions(
     Both partitions are the components of "every component gap < tolerance",
     so each pair needs one gap scan, capped at loose, or at tol once the pair
     already shares a loose class; a pair sharing a tol class is skipped.  The
-    vectors' domains must measure gaps (BigComplex.gap), and each vector must
-    hold a value at every ideal within its bound.
+    vectors' domains must measure gaps (BigComplex.gap_unless_below), and
+    each vector must hold a value at every ideal within its bound.
 
     A pair (a, b) whose float signatures (_float_signature) differ in some
     coordinate by |x - y| > 2*float(loose) + (|x| + |y|)*2^-50 + 2^-1000 is
@@ -924,8 +940,11 @@ def shift_partitions(
     first-appearance labels are unchanged.  A pair with a missing
     signature (a norm above some bound, or a coordinate inf or nan) is
     scanned as before, so BoundExhaustedError is raised at the same pair.
-    The skip reads floats because the same test by BigComplex.gap at
-    c = O_K costs about as much as the scans it saves.
+    The skip reads floats because they are still the cheapest exact test,
+    though BigComplex.below no longer takes a square root: on each of the
+    three desk triples at prec 120 (2 vCPUs, Python 3.11, mpmath 1.3.0 on
+    its Python backend) this pass took 8-24 ms, the same skip by
+    BigComplex.below at c = O_K 11-49 ms, and no skip at all 14-101 ms.
     """
     n = len(ideals)
     strict, wide = _UnionFind(n), _UnionFind(n)

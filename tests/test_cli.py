@@ -838,3 +838,38 @@ def test_mpc_bits_round_trip_j_vectors(d):
     for a in xi.ideals():
         z = xi.value_at(a)
         assert cli._mpc_from_bits(json.loads(json.dumps(cli._mpc_bits(z))))._mpc_ == z._mpc_
+
+
+def _cached_components() -> int:
+    return sum(1 + (ser.j is not None) + len(ser.fricke) for ser in modular._SERIES_CACHE.values())
+
+
+def test_pipeline_check_job_sums_the_families_it_lacks_in_one_sweep(tmp_path, monkeypatch):
+    """A cold level-2 check job (the j vector cached by the vector job) sums its
+    three Fricke families in one sweep; reading each off then sums nothing."""
+    cache = str(tmp_path / "cache")
+    cli.run_pipeline(cli.RunConfig(jobs=("vector",), cache_dir=cache, out_dir=str(tmp_path / "v"), **_SMALL_CFG))
+    _reset_module_caches()
+    sweeps = []
+    real = modular._evaluate_missing
+
+    def recording(points, indices, k, prec):
+        before = _cached_components()
+        real(points, indices, k, prec)
+        sweeps.append((len(indices), _cached_components() - before))
+
+    monkeypatch.setattr(modular, "_evaluate_missing", recording)
+    cfg = cli.RunConfig(jobs=("check",), cache_dir=cache, level=2, out_dir=str(tmp_path / "check"), **_SMALL_CFG)
+    summary = cli.run_pipeline(cfg)
+    assert summary["vector_cache"] == "miss" and summary["failed_checks"] == []
+    assert sweeps[0][0] == 3 and sweeps[0][1] > 0
+    assert [added for _, added in sweeps[1:]] == [0, 0, 0]
+
+    # check.json holds what the desk check computes from per-family vectors
+    _reset_module_caches()
+    field = make_field(_SMALL_CFG["d"])
+    bound, prec = _SMALL_CFG["bound"], _SMALL_CFG["prec"]
+    vectors = [modular.modular_vector(fam, field, bound, prec) for fam in modular.level_families(2)]
+    expect = cli.modularity_check(field, 2, bound, prec, vectors)
+    written = json.loads((tmp_path / "check" / "check.json").read_text())
+    assert {name: written[name] for name in expect} == expect
