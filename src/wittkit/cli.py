@@ -28,6 +28,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
+from mpmath.libmp import from_man_exp
+
 from . import algrec, automata, modular, rayclass, witt
 from .domains import BigComplex
 from .errors import (
@@ -38,7 +41,7 @@ from .errors import (
     WittkitError,
     require_int,
 )
-from .modular import _mpc_bits, _mpc_from_bits, modularity_check
+from .modular import modularity_check
 from .qfield import (
     IdealHNF,
     QuadElement,
@@ -607,6 +610,30 @@ def _cache_store(cache_dir: Path, key: str, files: dict) -> None:
 _VECTOR_FILE = "vector.bits.json"
 
 
+def _mpc_bits(z) -> list:
+    """Each part of z as its mpf tuple [sign, hex(man), exp, bc]."""
+    return [[sign, hex(man), exp, bc] for sign, man, exp, bc in z._mpc_]
+
+
+def _mpc_from_bits(item):
+    """The mpc _mpc_bits wrote; ValueError for anything it could not have written."""
+    if not isinstance(item, list) or len(item) != 2:
+        raise ValueError(item)
+    parts = []
+    for part in item:
+        if not isinstance(part, list) or len(part) != 4:
+            raise ValueError(part)
+        sign, man_hex, exp, bc = part
+        if not isinstance(man_hex, str) or not all(type(v) is int for v in (sign, exp, bc)):
+            raise ValueError(part)
+        man = int(man_hex, 16)
+        mpf = from_man_exp(-man if sign else man, exp)
+        if mpf != (sign, man, exp, bc) or hex(man) != man_hex:
+            raise ValueError(part)
+        parts.append(mpf)
+    return mpmath.mp.make_mpc(tuple(parts))
+
+
 def _vector_key(cfg: RunConfig, family: str | None = None) -> str:
     """The vector's own inputs, with the family (default: the config's) in canonical form.
 
@@ -661,14 +688,14 @@ def run_pipeline(cfg: RunConfig) -> dict:
                 vector_cache = vector_cache or "hit"
             else:
                 missing[key] = parse_family(field, family)
-        if len(missing) > 1:
-            modular.sweep_families(list(missing.values()), field, cfg.bound, cfg.prec)
-        for key, family in missing.items():
-            xi = vectors[key] = modular.modular_vector(family, field, cfg.bound, cfg.prec)
-            if cache_dir:
-                bits = [_mpc_bits(xi.value_at(a)) for a in xi.ideals()]
-                _cache_store(cache_dir, key, {_VECTOR_FILE: {"type": "json", "data": {"values": bits}}})
-                vector_cache = "miss"
+        if missing:
+            summed = modular.family_vectors(list(missing.values()), field, cfg.bound, cfg.prec)
+            for key, xi in zip(missing, summed):
+                vectors[key] = xi
+                if cache_dir:
+                    bits = [_mpc_bits(xi.value_at(a)) for a in xi.ideals()]
+                    _cache_store(cache_dir, key, {_VECTOR_FILE: {"type": "json", "data": {"values": bits}}})
+                    vector_cache = "miss"
         return [vectors[key] for key in keys]
 
     hits, misses, failed = [], [], []

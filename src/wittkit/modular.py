@@ -26,18 +26,19 @@ series (with its j, theta constants and Fricke components) is summed once
 per distinct numeric tau and precision, keyed by tau's bits: the numeric
 tau depends on the basis of the inverse ideal, not only on the point, so
 keying by the element w1/w2 of K would let the first ideal enumerated
-decide another's guard digits.  Before vectors are read off, one sweep
-evaluates everything their families lack at each distinct tau (the
+decide another's guard digits.  family_vectors is the one path from
+families to vectors: it carries each family's index along each CM point
+once, evaluates everything the families lack at each distinct tau (the
 series, the checked j, each Fricke index) across the CPUs in the process's
-affinity mask, in shares balanced by estimated work: the process takes one
-share and forked children the others, each sending back the exact bits of
-what it computed, so the cache holds what one process would have computed.
-level_family_vectors sweeps all N^2 families at once; modular_vector is the
-one-family case, and sweep_families the sweep alone.  There is no option;
-one CPU (taskset -c 0), no fork, a second live thread or little work mean
-one process.  A child that fails leaves its share to be evaluated again
-here, so every error is raised by in-process code, in family and then ideal
-order.
+affinity mask, in shares balanced by estimated work, and reads the vectors
+off in family and then ideal order.  The process takes one share and forked
+children the others; each child evaluates its share with the same code and
+pickles back its series, so the cache holds what one process would have
+computed.  level_family_vectors (all N^2 families of a level) and
+modular_vector (one family) call it.  There is no option; one CPU
+(taskset -c 0), no fork, a second live thread or little work mean one
+process.  What a failed child leaves is evaluated in the read-off, so every
+error is raised by in-process code, in family and then ideal order.
 The public eisenstein, j_invariant and fricke sum a fresh series on every
 call and serve as the uncached oracle.
 
@@ -48,15 +49,15 @@ partition with the ray classes mod N*O_K.
 
 from __future__ import annotations
 
-import json
 import math
 import os
+import pickle
 import threading
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import from_man_exp, mpc_add, mpc_div, mpc_mul, mpc_mul_int, mpc_one, mpc_pow_int, mpc_sub, round_nearest
+from mpmath.libmp import mpc_add, mpc_div, mpc_mul, mpc_mul_int, mpc_one, mpc_pow_int, mpc_sub, round_nearest
 
 from .domains import GUARD_DIGITS, BigComplex
 from .errors import PrecisionError, UsageError, WittkitError
@@ -642,46 +643,7 @@ def _fricke_component(ser: _Series, a, k: int):
 _MIN_SHARE = 200
 
 
-def _mpc_bits(z) -> list:
-    """Each part of z as its mpf tuple [sign, hex(man), exp, bc]."""
-    return [[sign, hex(man), exp, bc] for sign, man, exp, bc in z._mpc_]
-
-
-def _mpc_from_bits(item):
-    """The mpc _mpc_bits wrote; ValueError for anything it could not have written."""
-    if not isinstance(item, list) or len(item) != 2:
-        raise ValueError(item)
-    parts = []
-    for part in item:
-        if not isinstance(part, list) or len(part) != 4:
-            raise ValueError(part)
-        sign, man_hex, exp, bc = part
-        if not isinstance(man_hex, str) or not all(type(v) is int for v in (sign, exp, bc)):
-            raise ValueError(part)
-        man = int(man_hex, 16)
-        mpf = from_man_exp(-man if sign else man, exp)
-        if mpf != (sign, man, exp, bc) or hex(man) != man_hex:
-            raise ValueError(part)
-        parts.append(mpf)
-    return mpmath.mp.make_mpc(tuple(parts))
-
-
-def _series_bits(ser: _Series) -> list:
-    """The seven summed fields of a _Series; j and Fricke components travel beside them."""
-    return [_mpc_bits(ser.tred), list(ser.g), ser.dps, *(_mpc_bits(v) for v in (ser.q, ser.g2, ser.g3, ser.delta))]
-
-
-def _series_from_bits(item) -> _Series:
-    """The _Series _series_bits wrote; ValueError for anything it could not have written."""
-    if not isinstance(item, list) or len(item) != 7:
-        raise ValueError(item)
-    tred, g, dps, *parts = item
-    if not isinstance(g, list) or len(g) != 4 or not all(type(v) is int for v in (*g, dps)):
-        raise ValueError(item)
-    return _Series(_mpc_from_bits(tred), tuple(g), dps, *map(_mpc_from_bits, parts))
-
-
-def _work_estimate(tau, prec, series: bool = True, j: bool = False, theta: bool = False, indices: int = 0) -> float:
+def _work_estimate(tau, prec, series: bool, j: bool, theta: bool, indices: int) -> float:
     """About the work left at tau, in series terms, from a float reduction of tau.
 
     The series costs its term count; the checked j about 2 terms; the theta
@@ -708,12 +670,9 @@ def _share_count(work: float) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), int(work // _MIN_SHARE)))
 
 
-def _balanced_shares(pending: dict, prec: int, work: dict | None = None) -> list[list]:
+def _balanced_shares(pending: dict, work: dict) -> list[list]:
     """The (key, tau) items of `pending` in _share_count shares, most work first
-    into the share with the least; `work` maps a key to its estimate, by
-    default that of its series alone."""
-    if work is None:
-        work = {key: _work_estimate(tau, prec) for key, tau in pending.items()}
+    into the share with the least; `work` maps a key to its estimate."""
     shares = [[] for _ in range(_share_count(sum(work.values())))]
     loads = [0.0] * len(shares)
     for key, tau in sorted(pending.items(), key=lambda item: -work[item[0]]):
@@ -723,85 +682,44 @@ def _balanced_shares(pending: dict, prec: int, work: dict | None = None) -> list
     return shares
 
 
-def _evaluate(key, tau, todo, k: int, prec: int) -> _Series:
-    """The series at tau, with its checked j if todo[0] and the Fricke
-    components at the indices todo[1] filled in."""
-    want_j, indices = todo
-    ser = _cm_series(tau, prec)
-    if want_j:
-        _checked_j(ser, prec)
-    for a in indices:
-        _fricke_component(ser, a, k)
-    return ser
-
-
 def _evaluate_share(share, todo: dict, k: int, prec: int) -> None:
-    """Evaluate a share into _SERIES_CACHE, stopping at the first error.
+    """Evaluate a share into _SERIES_CACHE, stopping at the first error: at each
+    (key, tau), the series, its checked j if todo[key][0] and the Fricke
+    components at the indices todo[key][1].
 
     The error is not raised here: the caller evaluates what is still
     missing again, in family and ideal order, so it surfaces exactly as a
     serial sweep raises it.
     """
     for key, tau in share:
+        want_j, indices = todo[key]
         try:
-            _evaluate(key, tau, todo[key], k, prec)
+            ser = _cm_series(tau, prec)
+            if want_j:
+                _checked_j(ser, prec)
+            for a in indices:
+                _fricke_component(ser, a, k)
         except Exception:  # re-raised by the caller's in-order pass
             return
 
 
 def _evaluate_in_child(share, todo: dict, k: int, prec: int, fd: int):
-    """In a forked child: write the share's results to fd as JSON and exit, never return.
+    """In a forked child: evaluate the share, pickle its cached series to fd and
+    exit, never return.
 
-    Per item: the series' bits if the parent lacked it (else null), j's bits
-    if asked for (else null), and the bits of each asked-for Fricke component.
+    The theta constants stay here: they would treble the time the parent
+    takes to unpickle a share, and only a later sweep that asks for new
+    Fricke indices at the same tau sums them again.
     """
     status = 1
     try:
-        out = []
-        for key, tau in share:
-            fresh = key not in _SERIES_CACHE
-            ser = _evaluate(key, tau, todo[key], k, prec)
-            want_j, indices = todo[key]
-            out.append(
-                [
-                    _series_bits(ser) if fresh else None,
-                    _mpc_bits(ser.j) if want_j else None,
-                    [_mpc_bits(ser.fricke[(a, k)]) for a in indices],
-                ]
-            )
-        data = json.dumps(out).encode()
+        _evaluate_share(share, todo, k, prec)
+        series = {key: replace(_SERIES_CACHE[key], theta=None) for key, _ in share if key in _SERIES_CACHE}
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            pickle.dump(series, f)
         status = 0
     finally:
         os._exit(status)
-
-
-def _decode_child(share, todo: dict, data: bytes) -> list:
-    """(series or None, j or None, Fricke values) per item of what
-    _evaluate_in_child sent; ValueError or TypeError if it could not have sent it."""
-    items = json.loads(data)
-    if not isinstance(items, list) or len(items) != len(share):
-        raise ValueError(items)
-    out = []
-    for (key, _), item in zip(share, items):
-        want_j, indices = todo[key]
-        if not isinstance(item, list) or len(item) != 3:
-            raise ValueError(item)
-        ser_bits, j_bits, values = item
-        # series bits exactly when this process lacks the series, j's exactly when asked for
-        if (ser_bits is None) != (key in _SERIES_CACHE) or (j_bits is None) == want_j:
-            raise ValueError(item)
-        if not isinstance(values, list) or len(values) != len(indices):
-            raise ValueError(item)
-        out.append(
-            (
-                None if ser_bits is None else _series_from_bits(ser_bits),
-                _mpc_from_bits(j_bits) if want_j else None,
-                [_mpc_from_bits(v) for v in values],
-            )
-        )
-    return out
 
 
 def _read_to_eof(fd: int) -> bytes:
@@ -816,10 +734,13 @@ def _evaluate_missing(points: list[CmPoint], indices: list[list], k: int, prec: 
     families' `indices` (per family, per point: (0, 0) for j, a transported
     Fricke index, or None) ask for and it lacks, across CPUs.
 
-    Share 0 is evaluated here, each other share in a forked child that sends
-    back the exact bits of what it computed.  A child that fails, or whose
-    data does not decode, contributes nothing: the caller then evaluates its
-    share again in-process, so every error comes from in-process code.
+    Share 0 is evaluated here, each other share in a forked child that
+    pickles back its series.  The payload is trusted because it only crosses
+    a pipe this process created to its own fork; it is kept if the child
+    exited 0 and sent a dict from keys of its share to _Series.  Shares are
+    disjoint, so a child's series holds everything this process had at the
+    fork and replaces it.  What a failed child leaves is evaluated again by
+    the caller's read-off, so every error comes from in-process code.
     """
     wants = {}  # key -> [tau, j asked for, Fricke indices in first-asked order]
     for family_indices in indices:
@@ -840,7 +761,7 @@ def _evaluate_missing(points: list[CmPoint], indices: list[list], k: int, prec: 
             pending[key], todo[key] = tau, (want_j, asked)
             theta = bool(asked) and (ser is None or ser.theta is None)
             work[key] = _work_estimate(tau, prec, ser is None, want_j, theta, len(asked))
-    shares = _balanced_shares(pending, prec, work)
+    shares = _balanced_shares(pending, work)
     children = []  # (share, pid, read end of its pipe)
     try:
         for share in shares[1:]:
@@ -869,17 +790,12 @@ def _evaluate_missing(points: list[CmPoint], indices: list[list], k: int, prec: 
         if code != 0:
             continue
         try:
-            results = _decode_child(share, todo, data)
-        except (ValueError, TypeError):
+            series = pickle.loads(data)
+        except Exception:  # cut short or garbled: the read-off evaluates the share
             continue
-        for (key, _), (ser, jv, values) in zip(share, results):
-            if ser is None:
-                ser = _SERIES_CACHE[key]
-            else:
-                _SERIES_CACHE[key] = ser
-            if jv is not None:
-                ser.j = jv
-            ser.fricke.update(((a, k), v) for a, v in zip(todo[key][1], values))
+        keys = {key for key, _ in share}
+        if isinstance(series, dict) and series.keys() <= keys and all(type(v) is _Series for v in series.values()):
+            _SERIES_CACHE.update(series)
 
 
 # ---------------------------------------------------------------------------
@@ -902,14 +818,14 @@ def _family_index(family, pt: CmPoint):
     raise UsageError(f"unknown deformation family {family!r}")
 
 
-def sweep_families(families: list, field: QuadField, bound: int, prec: int):
-    """Evaluate, once per distinct CM point and across CPUs (_evaluate_missing),
-    every j and Fricke component the families read at the integral ideals of
-    norm <= bound and the caches lack.
+def family_vectors(families: list, field: QuadField, bound: int, prec: int) -> list[WittVector]:
+    """Evaluate each family at every integral ideal of norm <= bound.
 
-    Returns the ideals, their CM points, each family's indices there and the
-    Fricke power.  A family swept here is read off by modular_vector with no
-    further summing.
+    Each family's index is carried along each CM point once, and every j and
+    Fricke component the families read and the caches lack is evaluated once
+    per distinct CM point, across CPUs (_evaluate_missing).  The vectors are
+    then read off in family and ideal order, evaluating here whatever is
+    still missing, so an error is the one a serial sweep raises first.
     """
     if field.is_rational:
         raise UsageError("modular vectors live over imaginary quadratic fields")
@@ -918,18 +834,6 @@ def sweep_families(families: list, field: QuadField, bound: int, prec: int):
     points = [cm_point(b, prec) for b in ideals]
     indices = [[_family_index(fam, pt) for pt in points] for fam in families]
     _evaluate_missing(points, indices, k, prec)
-    return ideals, points, indices, k
-
-
-def _family_vectors(families: list, field: QuadField, bound: int, prec: int) -> list[WittVector]:
-    """Evaluate each family at every integral ideal of norm <= bound.
-
-    The j and Fricke components of all families are first evaluated in one
-    sweep (sweep_families); the vectors are then read off in family and
-    ideal order, evaluating here whatever is still missing, so an error is
-    the one a serial sweep raises first.
-    """
-    ideals, points, indices, k = sweep_families(families, field, bound, prec)
     domain = BigComplex(prec)
     vectors = []
     for family, family_indices in zip(families, indices):
@@ -949,7 +853,7 @@ def _family_vectors(families: list, field: QuadField, bound: int, prec: int) -> 
 
 def modular_vector(family, field: QuadField, bound: int, prec: int = DEFAULT_PREC) -> WittVector:
     """Evaluate the family at every integral ideal of norm <= bound."""
-    return _family_vectors([family], field, bound, prec)[0]
+    return family_vectors([family], field, bound, prec)[0]
 
 
 def level_families(N: int) -> list:
@@ -964,7 +868,7 @@ def level_families(N: int) -> list:
 
 def level_family_vectors(field: QuadField, N: int, bound: int, prec: int = DEFAULT_PREC) -> list[WittVector]:
     """Vectors for every index a in (1/N)Z^2 / Z^2; a = 0 contributes j."""
-    return _family_vectors(level_families(N), field, bound, prec)
+    return family_vectors(level_families(N), field, bound, prec)
 
 
 # ---------------------------------------------------------------------------

@@ -676,13 +676,13 @@ def test_pipeline_jobs_run_alone_compute_the_vector_once(tmp_path, monkeypatch):
 
     calls: dict[str, int] = {}
     job_now = [None]
-    real = modular.modular_vector
+    real = modular.family_vectors
 
     def counting(*args, **kwargs):
         calls[job_now[0]] = calls.get(job_now[0], 0) + 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(modular, "modular_vector", counting)
+    monkeypatch.setattr(modular, "family_vectors", counting)
 
     def run_each(**changes):
         calls.clear()
@@ -706,23 +706,38 @@ def test_pipeline_jobs_run_alone_compute_the_vector_once(tmp_path, monkeypatch):
 _SMALL_CFG = {"d": -5, "bound": 20, "prec": 60}
 
 
-def _counting_modular_vector(monkeypatch) -> list:
-    """Patch modular.modular_vector to record the family of each call."""
+def test_a_job_reading_its_vector_from_the_cache_does_no_cm_work(tmp_path, monkeypatch):
+    cache = str(tmp_path / "cache")
+    cfg = cli.RunConfig(jobs=("vector",), cache_dir=cache, out_dir=str(tmp_path / "v"), **_SMALL_CFG)
+    _reset_module_caches()
+    assert cli.run_pipeline(cfg)["vector_cache"] == "miss"
+    _reset_module_caches()
     calls = []
-    real = modular.modular_vector
+    for name in ("cm_point", "_evaluate_missing"):
+        real = getattr(modular, name)
+        monkeypatch.setattr(modular, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    summary = cli.run_pipeline(replace(cfg, jobs=("orbit",), out_dir=str(tmp_path / "o")))
+    assert summary["vector_cache"] == "hit" and summary["cache_misses"] == ["orbit"]
+    assert calls == []
 
-    def counting(family, *args, **kwargs):
-        calls.append(family.describe())
-        return real(family, *args, **kwargs)
 
-    monkeypatch.setattr(modular, "modular_vector", counting)
+def _counting_family_vectors(monkeypatch) -> list:
+    """Patch modular.family_vectors to record each family it is asked for."""
+    calls = []
+    real = modular.family_vectors
+
+    def counting(families, *args, **kwargs):
+        calls.extend(family.describe() for family in families)
+        return real(families, *args, **kwargs)
+
+    monkeypatch.setattr(modular, "family_vectors", counting)
     return calls
 
 
 @pytest.mark.parametrize("level", [1, 2])
 def test_pipeline_check_job_reads_its_family_vectors_through_the_cache(tmp_path, monkeypatch, level):
     """Each default job alone with one shared cache dir: every family vector is summed once."""
-    calls = _counting_modular_vector(monkeypatch)
+    calls = _counting_family_vectors(monkeypatch)
     cache = str(tmp_path / "cache")
 
     def run_each(**changes) -> dict:
@@ -760,7 +775,7 @@ def test_vector_key_names_j_and_fricke_families_canonically():
 
 
 def test_pipeline_check_shares_a_fricke_entry_across_spellings(tmp_path, monkeypatch):
-    calls = _counting_modular_vector(monkeypatch)
+    calls = _counting_family_vectors(monkeypatch)
     _reset_module_caches()
     cfg = cli.RunConfig(
         jobs=("vector", "check"), level=2, family="fricke:2/4,0", out_dir=str(tmp_path), **_SMALL_CFG
@@ -846,7 +861,7 @@ def _cached_components() -> int:
 
 def test_pipeline_check_job_sums_the_families_it_lacks_in_one_sweep(tmp_path, monkeypatch):
     """A cold level-2 check job (the j vector cached by the vector job) sums its
-    three Fricke families in one sweep; reading each off then sums nothing."""
+    three Fricke families in one sweep, and no other."""
     cache = str(tmp_path / "cache")
     cli.run_pipeline(cli.RunConfig(jobs=("vector",), cache_dir=cache, out_dir=str(tmp_path / "v"), **_SMALL_CFG))
     _reset_module_caches()
@@ -862,8 +877,8 @@ def test_pipeline_check_job_sums_the_families_it_lacks_in_one_sweep(tmp_path, mo
     cfg = cli.RunConfig(jobs=("check",), cache_dir=cache, level=2, out_dir=str(tmp_path / "check"), **_SMALL_CFG)
     summary = cli.run_pipeline(cfg)
     assert summary["vector_cache"] == "miss" and summary["failed_checks"] == []
+    assert len(sweeps) == 1
     assert sweeps[0][0] == 3 and sweeps[0][1] > 0
-    assert [added for _, added in sweeps[1:]] == [0, 0, 0]
 
     # check.json holds what the desk check computes from per-family vectors
     _reset_module_caches()

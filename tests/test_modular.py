@@ -1,6 +1,7 @@
 import errno
 import math
 import os
+import pickle
 import random
 import threading
 from collections import Counter
@@ -550,7 +551,9 @@ def test_series_error_in_any_share_is_raised_as_one_process_raises_it(monkeypatc
     for i, b in enumerate(enumerate_ideals(K5, bound)):
         taus.setdefault((cm_point(b, prec).tau._mpc_, prec), (i, cm_point(b, prec).tau))
     _force_shares(monkeypatch, 3)
-    shares = modular._balanced_shares({key: tau for key, (_, tau) in taus.items()}, prec)
+    pending = {key: tau for key, (_, tau) in taus.items()}
+    work = {key: modular._work_estimate(tau, prec, True, False, False, 0) for key, tau in pending.items()}
+    shares = modular._balanced_shares(pending, work)
     assert len(shares) == 3
     # one failing series at the head of each share
     planted = {modular._series(tau, prec).tred._mpc_: taus[key][0] for key, tau in (share[0] for share in shares)}
@@ -573,14 +576,28 @@ def test_series_error_in_any_share_is_raised_as_one_process_raises_it(monkeypatc
     modular.clear_caches()
 
 
-@pytest.mark.parametrize("bad_bits", [lambda bits: ["not a series"], lambda bits: bits[:6]])
-def test_undecodable_child_data_is_summed_again_in_process(bad_bits, monkeypatch):
+# what a garbled child might send in place of its pickled {key: _Series} share
+_GARBLES = {
+    "truncated": lambda series: pickle.dumps(series)[:-9],
+    "list": lambda series: pickle.dumps(list(series.values())),
+    "non_series_value": lambda series: pickle.dumps({**series, list(series)[-1]: "not a series"}),
+    "key_outside_share": lambda series: pickle.dumps({**series, (None, 0): next(iter(series.values()))}),
+}
+
+
+def _garble_child_payload(monkeypatch, garble) -> None:
+    """Make each forked child write garble(series) where it would pickle its series."""
+    monkeypatch.setattr(modular.pickle, "dump", lambda series, f: f.write(garble(series)))
+
+
+@pytest.mark.parametrize("garble", _GARBLES.values(), ids=_GARBLES)
+def test_undecodable_child_data_is_summed_again_in_process(garble, monkeypatch):
     prec, bound = 60, 30
     _force_shares(monkeypatch, 1)
     modular.clear_caches()
     xi = modular_vector(JFamily(), K5, bound, prec)
-    real_bits, real_series = modular._series_bits, modular._eis_series
-    monkeypatch.setattr(modular, "_series_bits", lambda ser: bad_bits(real_bits(ser)))
+    real_series = modular._eis_series
+    _garble_child_payload(monkeypatch, garble)
     summed_here = []
 
     def counting(t):
@@ -735,8 +752,8 @@ def test_fricke_error_in_any_share_is_raised_as_one_process_raises_it(target, mo
     modular.clear_caches()
 
 
-@pytest.mark.parametrize("bad_bits", [lambda bits: bits[:1], lambda bits: [[0, "1", 0, 1], bits[1]]])
-def test_undecodable_child_components_are_evaluated_again_in_process(bad_bits, monkeypatch):
+@pytest.mark.parametrize("garble", _GARBLES.values(), ids=_GARBLES)
+def test_undecodable_child_components_are_evaluated_again_in_process(garble, monkeypatch):
     prec, bound = 60, 30
     _force_shares(monkeypatch, 1)
     modular.clear_caches()
@@ -746,8 +763,8 @@ def test_undecodable_child_components_are_evaluated_again_in_process(bad_bits, m
     for ser in modular._SERIES_CACHE.values():
         ser.fricke.clear()
         ser.theta = None
-    real_bits, real_fricke = modular._mpc_bits, modular._fricke_at
-    monkeypatch.setattr(modular, "_mpc_bits", lambda z: bad_bits(real_bits(z)))
+    real_fricke = modular._fricke_at
+    _garble_child_payload(monkeypatch, garble)
     evaluated_here = []
 
     def counting(a, ser, k):
@@ -866,13 +883,13 @@ def test_clear_caches_empties_every_modular_cache():
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_modularity_check_names_the_families_it_compares(level, monkeypatch):
     sweeps = []
-    real = modular._family_vectors
+    real = modular.family_vectors
 
     def recording(families, field, bound, prec):
         sweeps.append([family.describe() for family in families])
         return real(families, field, bound, prec)
 
-    monkeypatch.setattr(modular, "_family_vectors", recording)
+    monkeypatch.setattr(modular, "family_vectors", recording)
     result = modular.modularity_check(K5, level, 6, 60)
     # one sweep evaluates every family
     assert len(sweeps) == 1
