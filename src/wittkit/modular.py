@@ -806,15 +806,26 @@ def _j_component(a: IdealHNF, prec: int):
     return _checked_j(_cm_series(cm_point(a, prec).tau, prec), prec)
 
 
-def _family_index(family, pt: CmPoint):
-    """What a family reads at a CM point: (0, 0) for j, the Fricke index
-    carried along the point's matrix, or None for a characteristic family."""
+def _family_indices(family, matrices) -> list:
+    """What a family reads at each CM point, given the points' matrices: (0, 0)
+    for j, the Fricke index carried along the matrix, or None for a
+    characteristic family.
+
+    A Fricke index at level N is carried as its integer numerators mod N and
+    read back as the reduced Fraction pair _transport gives.
+    """
     if isinstance(family, JFamily):
-        return (0, 0)
+        return [(0, 0)] * len(matrices)
     if isinstance(family, FrickeFamily):
-        return _transport(family.a, pt.matrix)
+        N = family.level
+        n1, n2 = (int(x * N) for x in family.a)
+        fracs = [Fraction(i, N) for i in range(N)]
+        return [
+            (fracs[(n1 * m11 + n2 * m21) % N], fracs[(n1 * m12 + n2 * m22) % N])
+            for (m11, m12), (m21, m22) in matrices
+        ]
     if isinstance(family, CharFamily):
-        return None
+        return [None] * len(matrices)
     raise UsageError(f"unknown deformation family {family!r}")
 
 
@@ -832,7 +843,8 @@ def family_vectors(families: list, field: QuadField, bound: int, prec: int) -> l
     k = fricke_power(field.d)
     ideals = _ideals(field, bound)
     points = [cm_point(b, prec) for b in ideals]
-    indices = [[_family_index(fam, pt) for pt in points] for fam in families]
+    matrices = [pt.matrix for pt in points]
+    indices = [_family_indices(fam, matrices) for fam in families]
     _evaluate_missing(points, indices, k, prec)
     domain = BigComplex(prec)
     vectors = []

@@ -538,7 +538,10 @@ def ideal_divisors(p: IdealHNF) -> list[IdealHNF]:
     """All integral ideals dividing p, sorted by norm then (a, b, c)."""
     divs = [unit_ideal(p.field)]
     for prime, e in factor_ideal(p):
-        divs = [ideal_mul(d, ideal_pow(prime, k)) for d in divs for k in range(e + 1)]
+        powers = [prime]
+        for _ in range(e - 1):
+            powers.append(ideal_mul(powers[-1], prime))
+        divs = [q for d in divs for q in (d, *(ideal_mul(d, pk) for pk in powers))]
     divs.sort(key=lambda q: (q.norm(), q.a, q.b, q.c))
     return divs
 

@@ -6,6 +6,13 @@ group-ring presentation (a finite sum of coefficients attached to rational
 classes gamma mod 1, encoded as exponents mod L); components are then
 materialized on demand as cyclotomic values e^{2 pi i gamma n}.
 
+Periodicity mod f (is_periodic_mod, find_modulus) scans the components
+under their ray keys mod f.  A group-ring vector with f = (m) over Q and
+bound >= lcm(m, L) skips the scan: it is periodic mod (m) iff L | k*m for
+every exponent k with a nonzero coefficient, by the linear independence of
+the characters of Z/L (proof at is_periodic_mod).  Every other case keeps
+the scan, which stays the oracle.
+
 The congruence tower is tested by check_un: depth 0 is component
 integrality, depth n+1 requires psi_p(xi) - xi^{N(p)} to be exactly
 divisible by a generator of each principal prime, with the quotient passing
@@ -17,6 +24,8 @@ else falls back to honest component-wise computation.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -53,6 +62,10 @@ from .qfield import (
     unit_ideal,
 )
 from .rayclass import _ray_key, j_classes
+
+
+_WORD = (1 << 64) - 1
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 @lru_cache(maxsize=256)
@@ -376,30 +389,47 @@ def _mod_psi(g: _ModGring, p: int) -> list[int]:
 def _kronecker_mul(a: list[int], b: list[int], L: int, M: int) -> list[int]:
     """Circular convolution mod x^L - 1 with coefficients mod M.
 
-    Coefficients in [0, M) are packed into byte-aligned slots of one big
-    integer so the convolution rides on big-int multiplication; a is b packs
-    once.  Slot width: L * (M-1)^2 < 256^slot_bytes.
+    Coefficients in [0, M) are packed into slots of one big integer so the
+    convolution rides on big-int multiplication; a is b packs once.  Slots
+    are whole 64-bit words, so packing and unpacking run through array('Q'):
+    a slot is w = ceil(bits(n * (M-1)^2) / 64) words and at least one (so
+    M = 1 and L = 1 get a word too), where n <= L is the smaller count of
+    nonzero coefficients in a and b.  A coefficient of M > 2^64 is split
+    into 64-bit limbs, one word apart, and a slot is joined back from its w
+    words.
 
     Folding invariant.  Slot i of the product holds linear coefficient i,
     0 <= i <= 2L-2.  Circular coefficient j is linear coefficient j plus
-    linear coefficient j+L: a sum of exactly L products, each at most
-    (M-1)^2, so it fits one slot.  Hence (prod & mask) + (prod >> L*slot_bits)
-    adds the high L-1 slots onto the low L with no carry between slots, and
-    only L slots are unpacked.
+    linear coefficient j+L: the sum of a_i * b_(j-i mod L) over i, in which
+    each nonzero a_i meets one b index, so at most n products are nonzero,
+    each at most (M-1)^2, and it fits one slot.  Hence (prod & mask) +
+    (prod >> L*slot_bits) adds the high L-1 slots onto the low L with no
+    carry between slots, and only L slots are unpacked.
     """
-    slot_bytes = (L * (M - 1) * (M - 1)).bit_length() // 8 + 1
+    n = L - max(a.count(0), b.count(0))
+    w = max(1, -(-(n * (M - 1) * (M - 1)).bit_length() // 64))
+    limbs = max(1, -(-(M - 1).bit_length() // 64))
+    n_words = L * w
 
     def pack(v: list[int]) -> int:
-        return int.from_bytes(b"".join([c.to_bytes(slot_bytes, "little") for c in v]), "little")
+        words = array("Q", bytes(8 * n_words))
+        for j in range(limbs):
+            words[j::w] = array("Q", v if limbs == 1 else [c >> (64 * j) & _WORD for c in v])
+        if _BIG_ENDIAN:
+            words.byteswap()
+        return int.from_bytes(words, "little")
 
     pa = pack(a)
     prod = pa * (pa if a is b else pack(b))
-    width = L * slot_bytes
-    shift_bits = 8 * width
-    raw = ((prod & ((1 << shift_bits) - 1)) + (prod >> shift_bits)).to_bytes(width, "little")
-    return [
-        int.from_bytes(raw[i : i + slot_bytes], "little") % M for i in range(0, width, slot_bytes)
-    ]
+    shift_bits = 64 * n_words
+    folded = (prod & ((1 << shift_bits) - 1)) + (prod >> shift_bits)
+    words = array("Q", folded.to_bytes(8 * n_words, "little"))
+    if _BIG_ENDIAN:
+        words.byteswap()
+    out = words[0::w]
+    for j in range(1, w):
+        out = [c | h << (64 * j) for c, h in zip(out, words[j::w])]
+    return [c % M for c in out]
 
 
 def _chain_powers(g: _ModGring, norms) -> dict[int, list[int]]:
@@ -596,9 +626,27 @@ def _divide_vector(eta: WittVector, gen, stats):
 
 
 def is_periodic_mod(xi: WittVector, f: IdealHNF) -> bool:
-    """True iff each component equals the first one with the same ray key mod f."""
+    """True iff each component equals the first one with the same ray key mod f.
+
+    A group-ring vector with f = (m) over Q and bound >= lcm(m, L) is decided
+    in closed form, without evaluating a component: it is periodic mod (m)
+    iff L | k*m for every exponent k mod L whose coefficients sum to nonzero.
+    The component at (n) is F(n) = sum_k c_k zeta_L^(kn), and over Q the ray
+    key of (n) is n mod m.  F(n + m) - F(n) = sum_k c_k (zeta_L^(km) - 1)
+    zeta_L^(kn) vanishes for all n iff every term does, as distinct
+    characters of Z/L are linearly independent.  By CRT every pair of
+    residues mod m and mod L that agree mod gcd(m, L) is taken by some
+    n <= lcm(m, L), so the in-bound components already force F to be
+    m-periodic.  Every other case scans the ray keys; the scan stays the
+    oracle.
+    """
     if not f.is_integral():
         raise UsageError("modulus must be an integral ideal")
+    if xi.gring is not None and f.field.is_rational:
+        m, L = f.a, xi.gring_L
+        if xi.bound >= math.lcm(m, L):
+            coeffs = _accumulate({}, ((k % L, c) for k, c in xi.gring.items()), 1)
+            return all(k * m % L == 0 for k in coeffs)
     ideals = xi.ideals()
     if not ideals:
         raise InsufficientBoundError("vector has no components")

@@ -1,15 +1,17 @@
 """The one equality path per job: BigComplex.eq, first-match clustering,
 orbit lookup and periodicity, each against the inline code it replaced."""
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wittkit import algrec, witt
+from wittkit.cyclotomic import ExactCyclotomic
 from wittkit.domains import BigComplex
 from wittkit.errors import InsufficientBoundError, UsageError
 from wittkit.modular import level_families, modular_vector
@@ -276,3 +278,96 @@ def test_is_periodic_mod_matches_the_classify_oracle_on_rho_vectors(a, bound):
 def test_is_periodic_mod_matches_the_classify_oracle_on_modular_vectors(d, which):
     xi = _family_vectors(d)[which]
     _assert_periodicity_agrees(xi, enumerate_ideals(make_field(d), 12))
+
+
+# ---------------------------------------------------------------------------
+# the closed-form periodicity of group-ring vectors against the scan
+
+_DENS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12]
+_COEFF = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.sampled_from([1, 1, 2, 3, 4]))
+
+
+@st.composite
+def _gring_terms(draw):
+    """Rational coefficients on gammas p/q, p drawn beyond [0, q) so that
+    terms can meet mod 1, plus possibly a term and its negative."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        q = draw(st.sampled_from(_DENS))
+        terms.append((draw(_COEFF), Fraction(draw(st.integers(-q, 2 * q)), q)))
+    if draw(st.booleans()):
+        c, g = terms[0]
+        terms.append((-c, g + draw(st.sampled_from([0, 1, -2]))))
+    return terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gring_terms(), st.integers(1, 30), st.sampled_from([-1, 0, 1, None]), st.data())
+def test_closed_form_periodicity_matches_the_scan_at_the_lcm_bound(terms, m, offset, data):
+    coeffs, gammas = [c for c, _ in terms], [g for _, g in terms]
+    L = zlinear_combine(coeffs, gammas, 1).gring_L
+    T = math.lcm(m, L)
+    # lcm(m, L) - 1, lcm(m, L), lcm(m, L) + 1, or between L and lcm(m, L),
+    # where a bound of L alone would not yet decide
+    bound = T + offset if offset is not None else data.draw(st.integers(L, T))
+    assume(1 <= bound <= 700)
+    xi = zlinear_combine(coeffs, gammas, bound)
+    f = IdealHNF(Q, m, 0, 1)
+    candidates = [f] + list(ideal_divisors(IdealHNF(Q, L, 0, 1)))
+    _assert_periodicity_agrees(xi, candidates)
+
+
+def test_closed_form_covers_an_empty_gring_and_non_integer_coefficients():
+    empty = zlinear_combine([Fraction(1, 2), Fraction(-1, 2)], [Fraction(1, 3), Fraction(4, 3)], 12)
+    assert empty.gring == {}
+    half = zlinear_combine([Fraction(1, 2), Fraction(-3, 4)], [Fraction(1, 4), Fraction(1, 2)], 12)
+    for xi in (empty, half):
+        for m in range(1, 13):
+            f = IdealHNF(Q, m, 0, 1)
+            assert is_periodic_mod(xi, f) == _old_is_periodic_mod(xi, f)
+    assert find_modulus(empty, [IdealHNF(Q, 1, 0, 1)]) == IdealHNF(Q, 1, 0, 1)
+    # 1 + (-1)^n is not periodic mod 3, but below n = 4 no two in-bound
+    # ideals are congruent mod 3, so the scan calls it periodic there
+    for bound in range(1, 8):
+        parity = zlinear_combine([1, 1], [Fraction(0), Fraction(1, 2)], bound)
+        for m in range(1, 7):
+            f = IdealHNF(Q, m, 0, 1)
+            assert is_periodic_mod(parity, f) == _old_is_periodic_mod(parity, f), (bound, m)
+    assert is_periodic_mod(zlinear_combine([1, 1], [Fraction(0), Fraction(1, 2)], 3), IdealHNF(Q, 3, 0, 1))
+    assert find_modulus(half, list(Q_SMALL)) == _old_find_modulus(half, list(Q_SMALL)) == IdealHNF(Q, 4, 0, 1)
+
+
+def _counting_eval_formal(monkeypatch) -> list:
+    calls = []
+    real = ExactCyclotomic.eval_formal
+
+    def counting(self, g, n=1):
+        calls.append(n)
+        return real(self, g, n)
+
+    monkeypatch.setattr(ExactCyclotomic, "eval_formal", counting)
+    return calls
+
+
+def test_find_modulus_on_a_group_ring_vector_evaluates_no_component(monkeypatch):
+    coeffs, gammas = [2, -3, Fraction(1, 2)], [Fraction(1, 4), Fraction(1, 6), Fraction(2, 5)]
+    L = 60
+    divisors = ideal_divisors(IdealHNF(Q, L, 0, 1))
+    want = _old_find_modulus(zlinear_combine(coeffs, gammas, L), divisors)
+    assert want == IdealHNF(Q, 60, 0, 1)
+    calls = _counting_eval_formal(monkeypatch)
+    for bound in (L, 200):
+        assert find_modulus(zlinear_combine(coeffs, gammas, bound), divisors) == want
+    assert calls == []
+    # below lcm(m, L) the scan decides, evaluating components
+    small = zlinear_combine(coeffs, gammas, L - 1)
+    assert find_modulus(small, divisors) == _old_find_modulus(zlinear_combine(coeffs, gammas, L - 1), divisors)
+    assert calls
+    # a modulus over another field goes through the scan and raises there
+    calls.clear()
+    f = IdealHNF(K5, 2, 1, 1)
+    with pytest.raises(UsageError, match="ideals from different fields"):
+        find_modulus(zlinear_combine(coeffs, gammas, 200), [f])
+    with pytest.raises(UsageError, match="ideals from different fields"):
+        _old_find_modulus(zlinear_combine(coeffs, gammas, 200), [f])
+    assert calls

@@ -1135,3 +1135,23 @@ def test_level_matrix_matches_the_old_cached_construction():
                     checked += 1
         modular.clear_caches()
     assert checked > 2000
+
+
+_INT = st.integers(-10**6, 10**6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 6).flatmap(lambda N: st.tuples(st.just(N), st.integers(0, N - 1), st.integers(0, N - 1))),
+    st.booleans(),
+    st.lists(st.tuples(st.tuples(_INT, _INT), st.tuples(_INT, _INT)), max_size=6),
+)
+def test_family_indices_carry_fricke_numerators_as_transport_does(index, explicit_level, matrices):
+    N, n1, n2 = index
+    assume(n1 or n2)
+    # an explicit level N may exceed the reduced index's own denominators
+    a = (Fraction(n1, N), Fraction(n2, N))
+    family = FrickeFamily(a, level=N) if explicit_level else FrickeFamily(a)
+    want = [modular._transport(family.a, m) for m in matrices]
+    assert modular._family_indices(family, matrices) == want
+    assert modular._family_indices(JFamily(), matrices) == [(0, 0)] * len(matrices)

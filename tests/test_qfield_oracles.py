@@ -23,6 +23,7 @@ from wittkit.qfield import (
     factor_ideal,
     factor_int,
     ideal_add,
+    ideal_divisors,
     ideal_from_elements,
     ideal_inverse,
     ideal_mul,
@@ -343,3 +344,10 @@ def test_principal_ideal_of_an_element_round_trips():
                 assert principal_ideal(t) == old_principal_ideal(t)
                 g = is_principal(principal_ideal(t))
                 assert g is not None and principal_ideal(g) == principal_ideal(t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((1, -1, -3, -5, -15)).flatmap(lambda d: st.sampled_from(_POOLS[d])))
+def test_ideal_divisors_are_the_ideals_of_smaller_norm_containing_p(p):
+    containing = [q for q in enumerate_ideals(p.field, int(p.norm())) if q.contains_ideal(p)]
+    assert ideal_divisors(p) == sorted(containing, key=lambda q: (q.norm(), q.a, q.b, q.c))

@@ -722,13 +722,39 @@ def test_folded_kronecker_matches_unfolded_oracle(case):
     assert a == a_before and b == b_before
 
 
+_WORD_EDGES = [1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**64 + 1]
+
+
 def test_kronecker_worst_slot_is_exact():
     # every product is (M-1)^2 and every circular sum has exactly L of them
-    for L, M in ((1, 2), (7, 30030), (210, 30030**2), (13, 2**64 + 1)):
+    cases = [(1, 2), (7, 30030), (210, 30030**2), (13, 2**64 + 1)]
+    cases += [(L, M) for L in (1, 2, 7, 210) for M in _WORD_EDGES]
+    for L, M in cases:
         worst = [M - 1] * L
         want = [L * (M - 1) ** 2 % M] * L
         assert _kronecker_mul(worst, worst, L, M) == want
         assert _kronecker_mul(worst, list(worst), L, M) == want
+
+
+# 3 * (2^31)^2 < 2^64 <= 4 * (2^31)^2: the slot of three nonzero terms is one word
+@pytest.mark.parametrize("M", _WORD_EDGES + [2**31 + 1])
+@pytest.mark.parametrize("L", [1, 2, 7, 210])
+def test_kronecker_at_word_and_limb_boundaries_matches_the_oracle(L, M):
+    # n nonzero worst coefficients in a row: circular coefficient n-1 sums n
+    # products (M-1)^2, the most a slot sized for n nonzero terms must hold
+    for n in range(1, min(L, 5) + 1):
+        a = [M - 1] * n + [0] * (L - n)
+        b = a[::-1]
+        assert _kronecker_mul(a, a, L, M) == _slow_kronecker_mul(a, list(a), L, M)
+        assert _kronecker_mul(a, b, L, M) == _slow_kronecker_mul(a, b, L, M)
+    # coefficients near 0, 2^32 and 2^64, where a slot or a limb fills up
+    rng = random.Random(L * 1000 + M.bit_length())
+    edges = sorted({c % M for c in (0, 1, M - 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64)})
+    for _ in range(4):
+        a = [rng.choice(edges + [rng.randrange(M)]) for _ in range(L)]
+        b = [rng.choice(edges + [rng.randrange(M)]) for _ in range(L)]
+        assert _kronecker_mul(a, b, L, M) == _slow_kronecker_mul(a, b, L, M)
+        assert _kronecker_mul(a, a, L, M) == _slow_kronecker_mul(a, list(a), L, M)
 
 
 def _random_integer_vectors(seed: int, n: int, bound: int = 200):
