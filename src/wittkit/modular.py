@@ -30,15 +30,16 @@ decide another's guard digits.  family_vectors is the one path from
 families to vectors: it carries each family's index along each CM point
 once, evaluates everything the families lack at each distinct tau (the
 series, the checked j, each Fricke index) across the CPUs in the process's
-affinity mask, in shares balanced by estimated work, and reads the vectors
-off in family and then ideal order.  The process takes one share and forked
-children the others; each child evaluates its share with the same code and
-pickles back its series, so the cache holds what one process would have
-computed.  level_family_vectors (all N^2 families of a level) and
-modular_vector (one family) call it.  There is no option; one CPU
-(taskset -c 0), no fork, a second live thread or little work mean one
-process.  What a failed child leaves is evaluated in the read-off, so every
-error is raised by in-process code, in family and then ideal order.
+affinity mask, share i of n taking the pending points i, i+n, i+2n, ..., and
+reads the vectors off in family and then ideal order.  The process takes one
+share and forked children the others; each child evaluates its share with
+the same code and pickles back its series, so the cache holds what one
+process would have computed.  level_family_vectors (all N^2 families of a
+level) and modular_vector (one family) call it.  There is no option; one
+CPU (taskset -c 0), no fork, a second live thread or fewer than
+2*_MIN_SHARE pending points mean one process.  What a failed child leaves
+is evaluated in the read-off, so every error is raised by in-process code,
+in family and then ideal order.
 The public eisenstein, j_invariant and fricke sum a fresh series on every
 call and serve as the uncached oracle.
 
@@ -638,61 +639,34 @@ def _fricke_component(ser: _Series, a, k: int):
     return value
 
 
-# a share holds at least this much estimated work (in series terms, about
-# four series at 120 digits), so a fork pays off
-_MIN_SHARE = 200
+_MIN_SHARE = 4  # CM points for a fork to pay off: about 200 series terms at 120 digits
 
 
-def _work_estimate(tau, prec, series: bool, j: bool, theta: bool, indices: int) -> float:
-    """About the work left at tau, in series terms, from a float reduction of tau.
-
-    The series costs its term count; the checked j about 2 terms; the theta
-    constants, summed to n terms, about n/2; each Fricke index n/2 + 1
-    (measured at 120 digits).
-    """
-    t = complex(tau)
-    for _ in range(_REDUCE_MAX):
-        t -= math.floor(t.real + 0.5)
-        if abs(t) >= 1:
-            break
-        t = -1 / t
-    dps = prec + GUARD_DIGITS + 2 * math.pi * math.log10(math.e) * t.imag
-    terms = (dps + 8) * math.log(10) / (2 * math.pi * t.imag)
-    half_theta = math.sqrt(terms / 2 + 0.0625)  # n/2 for the n of _theta_terms
-    return series * (terms + 12) + 2 * j + theta * half_theta + indices * (half_theta + 1)
-
-
-def _share_count(work: float) -> int:
-    """Processes to share `work` out to: one per CPU the process may run on,
-    but one without fork, while a second thread is alive, or for little work."""
+def _share_count(n: int) -> int:
+    """Processes to share n pending CM points out to: one per CPU the process
+    may run on, but one without fork, while a second thread is alive, or for
+    fewer than 2*_MIN_SHARE points."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), int(work // _MIN_SHARE)))
+    return max(1, min(len(os.sched_getaffinity(0)), n // _MIN_SHARE))
 
 
-def _balanced_shares(pending: dict, work: dict) -> list[list]:
-    """The (key, tau) items of `pending` in _share_count shares, most work first
-    into the share with the least; `work` maps a key to its estimate."""
-    shares = [[] for _ in range(_share_count(sum(work.values())))]
-    loads = [0.0] * len(shares)
-    for key, tau in sorted(pending.items(), key=lambda item: -work[item[0]]):
-        i = loads.index(min(loads))
-        shares[i].append((key, tau))
-        loads[i] += work[key]
-    return shares
+def _striped_shares(pending: list) -> list[list]:
+    """`pending` in _share_count shares: share i takes items i, i+n, i+2n, ..."""
+    n = _share_count(len(pending))
+    return [pending[i::n] for i in range(n)]
 
 
-def _evaluate_share(share, todo: dict, k: int, prec: int) -> None:
+def _evaluate_share(share, k: int, prec: int) -> None:
     """Evaluate a share into _SERIES_CACHE, stopping at the first error: at each
-    (key, tau), the series, its checked j if todo[key][0] and the Fricke
-    components at the indices todo[key][1].
+    (key, (tau, want_j, indices)), the series, its checked j if want_j and the
+    Fricke components at the indices.
 
     The error is not raised here: the caller evaluates what is still
     missing again, in family and ideal order, so it surfaces exactly as a
     serial sweep raises it.
     """
-    for key, tau in share:
-        want_j, indices = todo[key]
+    for _, (tau, want_j, indices) in share:
         try:
             ser = _cm_series(tau, prec)
             if want_j:
@@ -703,30 +677,23 @@ def _evaluate_share(share, todo: dict, k: int, prec: int) -> None:
             return
 
 
-def _evaluate_in_child(share, todo: dict, k: int, prec: int, fd: int):
+def _evaluate_in_child(share, k: int, prec: int, fd: int):
     """In a forked child: evaluate the share, pickle its cached series to fd and
     exit, never return.
 
     The theta constants stay here: they would treble the time the parent
-    takes to unpickle a share, and only a later sweep that asks for new
-    Fricke indices at the same tau sums them again.
+    takes to unpickle a share.  Those the parent did not hold at the fork
+    are summed again by a later sweep that asks for new Fricke indices.
     """
     status = 1
     try:
-        _evaluate_share(share, todo, k, prec)
+        _evaluate_share(share, k, prec)
         series = {key: replace(_SERIES_CACHE[key], theta=None) for key, _ in share if key in _SERIES_CACHE}
         with os.fdopen(fd, "wb") as f:
             pickle.dump(series, f)
         status = 0
     finally:
         os._exit(status)
-
-
-def _read_to_eof(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    return b"".join(chunks)
 
 
 def _evaluate_missing(points: list[CmPoint], indices: list[list], k: int, prec: int) -> None:
@@ -739,8 +706,9 @@ def _evaluate_missing(points: list[CmPoint], indices: list[list], k: int, prec: 
     a pipe this process created to its own fork; it is kept if the child
     exited 0 and sent a dict from keys of its share to _Series.  Shares are
     disjoint, so a child's series holds everything this process had at the
-    fork and replaces it.  What a failed child leaves is evaluated again by
-    the caller's read-off, so every error comes from in-process code.
+    fork and replaces it, but for the theta constants, which it does not
+    send.  What a failed child leaves is evaluated again by the caller's
+    read-off, so every error comes from in-process code.
     """
     wants = {}  # key -> [tau, j asked for, Fricke indices in first-asked order]
     for family_indices in indices:
@@ -752,16 +720,14 @@ def _evaluate_missing(points: list[CmPoint], indices: list[list], k: int, prec: 
                 want[1] = True
             elif a not in want[2]:
                 want[2].append(a)
-    pending, todo, work = {}, {}, {}
+    pending = []  # (key, (tau, j missing, Fricke indices missing))
     for key, (tau, want_j, asked) in wants.items():
         ser = _SERIES_CACHE.get(key)
         want_j = want_j and (ser is None or ser.j is None)
         asked = tuple(a for a in asked if ser is None or (a, k) not in ser.fricke)
         if ser is None or want_j or asked:
-            pending[key], todo[key] = tau, (want_j, asked)
-            theta = bool(asked) and (ser is None or ser.theta is None)
-            work[key] = _work_estimate(tau, prec, ser is None, want_j, theta, len(asked))
-    shares = _balanced_shares(pending, work)
+            pending.append((key, (tau, want_j, asked)))
+    shares = _striped_shares(pending)
     children = []  # (share, pid, read end of its pipe)
     try:
         for share in shares[1:]:
@@ -776,15 +742,15 @@ def _evaluate_missing(points: list[CmPoint], indices: list[list], k: int, prec: 
                 os.close(w)
                 continue
             if pid == 0:
-                _evaluate_in_child(share, todo, k, prec, w)
+                _evaluate_in_child(share, k, prec, w)
             os.close(w)
-            children.append((share, pid, r))
-        _evaluate_share(shares[0], todo, k, prec)
-        sent = [_read_to_eof(r) for _, _, r in children]
+            children.append((share, pid, os.fdopen(r, "rb")))
+        _evaluate_share(shares[0], k, prec)
+        sent = [f.read() for _, _, f in children]
     finally:
         codes = []
-        for _, pid, r in children:
-            os.close(r)
+        for _, pid, f in children:
+            f.close()
             codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
     for (share, _, _), data, code in zip(children, sent, codes):
         if code != 0:
@@ -795,6 +761,9 @@ def _evaluate_missing(points: list[CmPoint], indices: list[list], k: int, prec: 
             continue
         keys = {key for key, _ in share}
         if isinstance(series, dict) and series.keys() <= keys and all(type(v) is _Series for v in series.values()):
+            for key, ser in series.items():
+                if key in _SERIES_CACHE:
+                    ser.theta = _SERIES_CACHE[key].theta
             _SERIES_CACHE.update(series)
 
 

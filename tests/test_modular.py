@@ -551,12 +551,13 @@ def test_series_error_in_any_share_is_raised_as_one_process_raises_it(monkeypatc
     for i, b in enumerate(enumerate_ideals(K5, bound)):
         taus.setdefault((cm_point(b, prec).tau._mpc_, prec), (i, cm_point(b, prec).tau))
     _force_shares(monkeypatch, 3)
-    pending = {key: tau for key, (_, tau) in taus.items()}
-    work = {key: modular._work_estimate(tau, prec, True, False, False, 0) for key, tau in pending.items()}
-    shares = modular._balanced_shares(pending, work)
+    shares = modular._striped_shares([(key, (tau, True, ())) for key, (_, tau) in taus.items()])
     assert len(shares) == 3
-    # one failing series at the head of each share
-    planted = {modular._series(tau, prec).tred._mpc_: taus[key][0] for key, tau in (share[0] for share in shares)}
+    # one failing series in each share: at the head of each child's share, and
+    # in the parent's share after them, so the first failure is a child's
+    failing_keys = [share[0][0] for share in shares[1:]] + [shares[0][1][0]]
+    planted = {modular._series(taus[key][1], prec).tred._mpc_: taus[key][0] for key in failing_keys}
+    assert min(planted.values()) == taus[shares[1][0][0]][0]
     real = modular._eis_series
 
     def failing(t):
@@ -630,6 +631,61 @@ def test_nothing_forks_while_a_second_thread_is_alive(monkeypatch):
     assert not other.is_alive()
     assert not forks
     assert len(xi.ideals()) == 45
+    modular.clear_caches()
+
+
+def test_striped_shares_deal_the_pending_points_in_order(monkeypatch):
+    """Share i holds pending items i, i+n, i+2n, ... of n = min(CPUs, points //
+    _MIN_SHARE) shares, and there is one share without fork, while a second
+    thread is alive, or below the floor."""
+    pending = [(i, None) for i in range(23)]
+    for cpus, n in ((1, 1), (2, 2), (3, 3), (8, 23 // modular._MIN_SHARE)):
+        _force_shares(monkeypatch, cpus)
+        shares = modular._striped_shares(pending)
+        assert len(shares) == n == min(cpus, len(pending) // modular._MIN_SHARE)
+        assert sum(map(len, shares)) == len(pending)
+        assert all(shares[i % n][i // n] == item for i, item in enumerate(pending))
+    _force_shares(monkeypatch, 3)
+    assert modular._striped_shares(pending[: 2 * modular._MIN_SHARE - 1]) == [pending[: 2 * modular._MIN_SHARE - 1]]
+    assert modular._striped_shares([]) == [[]]
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert modular._share_count(len(pending)) == 1
+    finally:
+        release.set()
+        other.join(timeout=10)
+    monkeypatch.delattr(modular.os, "fork")
+    assert modular._striped_shares(pending) == [pending]
+
+
+def test_theta_summed_once_per_tau_across_forked_sweeps(monkeypatch, tmp_path):
+    """A child's series keeps the theta constants this process held at the fork:
+    a serial level-2 sweep, a three-share level-3 sweep and a level-4 sweep
+    sum theta at most once per tau, counted in every process."""
+    prec, bound = 60, 30
+    log = tmp_path / "theta"
+    real = modular._theta_constants
+
+    def logging(t, dps):
+        # appended by whichever process sums theta, the forked children included
+        with open(log, "a") as f:
+            f.write(repr(t._mpc_) + "\n")
+        return real(t, dps)
+
+    monkeypatch.setattr(modular, "_theta_constants", logging)
+    _force_shares(monkeypatch, 1)
+    modular.clear_caches()
+    level_family_vectors(K5, 2, bound, prec)
+    forks = _counting_forks(monkeypatch)
+    _force_shares(monkeypatch, 3)
+    level_family_vectors(K5, 3, bound, prec)
+    level_family_vectors(K5, 4, bound, prec)
+    assert len(forks) == 4
+    summed = log.read_text().splitlines()
+    assert len(set(summed)) == len(modular._SERIES_CACHE) == 32
+    assert len(summed) == len(set(summed))
     modular.clear_caches()
 
 
@@ -713,24 +769,30 @@ def _first_fricke_reads(K, N, bound, prec) -> dict:
 
 @pytest.mark.parametrize("target", ["_theta_constants", "_fricke_at"])
 def test_fricke_error_in_any_share_is_raised_as_one_process_raises_it(target, monkeypatch):
-    """A theta or Fricke failure at the head of each share, in the parent's or a
-    child's, is evaluated again in-process: the error of the first failing
-    component in family and ideal order is raised, as with k = 1."""
+    """A theta or Fricke failure in each share, the parent's and the children's,
+    is evaluated again in-process: the error of the first failing component
+    in family and ideal order is raised, as with k = 1."""
     prec, bound, N = 60, 30, 3
     shares = []
-    real_shares = modular._balanced_shares
+    real_shares = modular._striped_shares
 
     def recording(*args):
         shares[:] = real_shares(*args)
         return shares
 
-    monkeypatch.setattr(modular, "_balanced_shares", recording)
+    monkeypatch.setattr(modular, "_striped_shares", recording)
     _force_shares(monkeypatch, 3)
     modular.clear_caches()
     level_family_vectors(K5, N, bound, prec)
     assert len(shares) == 3
     first = _first_fricke_reads(K5, N, bound, prec)
-    planted = {modular._SERIES_CACHE[key].tred._mpc_: first[key] for key, _ in (share[0] for share in shares)}
+    # the first Fricke read of each child's share fails, and one in the
+    # parent's share after them, so the first failure is a child's
+    heads = [share[0][0] for share in shares[1:]]
+    after = min(first[key] for key in heads)
+    failing_keys = heads + [next(key for key, _ in shares[0] if first.get(key, after) > after)]
+    planted = {modular._SERIES_CACHE[key].tred._mpc_: first[key] for key in failing_keys}
+    assert min(planted.values()) == after
     real = getattr(modular, target)
 
     def failing(*args):
