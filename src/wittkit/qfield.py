@@ -535,7 +535,17 @@ def factor_ideal(p: IdealHNF) -> list[tuple[IdealHNF, int]]:
 
 
 def ideal_divisors(p: IdealHNF) -> list[IdealHNF]:
-    """All integral ideals dividing p, sorted by norm then (a, b, c)."""
+    """All integral ideals dividing p, sorted by norm then (a, b, c).
+
+    Over Q these are the (n) for the divisors n of a, read off factor_int.
+    """
+    if p.field.is_rational:
+        if not p.is_integral():
+            raise UsageError("can only factor integral ideals")
+        ns = [1]
+        for q, e in factor_int(p.a):
+            ns = [n * q**i for n in ns for i in range(e + 1)]
+        return [IdealHNF(p.field, n, 0, 1) for n in sorted(ns)]
     divs = [unit_ideal(p.field)]
     for prime, e in factor_ideal(p):
         powers = [prime]

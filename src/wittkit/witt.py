@@ -24,6 +24,7 @@ else falls back to honest component-wise computation.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from array import array
 from bisect import bisect_right
@@ -335,9 +336,14 @@ class UnReport:
         }
 
 
-def _principal_prime_steps(field, prime_norm_bound, warnings, skipped):
-    steps = []
-    used = []
+@lru_cache(maxsize=64)
+def _principal_prime_steps(field: QuadField, prime_norm_bound: int):
+    """(steps, used, skipped, warnings) for the primes of norm <= the bound.
+
+    Memoised per (field, bound), so the tuples are shared: check_un copies the
+    label and warning tuples into lists of its own report.
+    """
+    steps, used, skipped, warnings = [], [], [], []
     for p in prime_ideals(field, prime_norm_bound):
         gen = is_principal(p)
         label = ideal_label(p)
@@ -350,7 +356,7 @@ def _principal_prime_steps(field, prime_norm_bound, warnings, skipped):
             continue
         steps.append((p, int(p.norm()), gen, label))
         used.append(label)
-    return steps, used
+    return tuple(steps), tuple(used), tuple(skipped), tuple(warnings)
 
 
 def _is_integer_gring(xi: WittVector) -> bool:
@@ -376,14 +382,45 @@ class _ModGring:
         return cls(arr, xi.gring_L, modulus, xi.bound)
 
 
-def _mod_psi(g: _ModGring, p: int) -> list[int]:
-    out = [0] * g.L
-    M = g.modulus
-    for k, c in enumerate(g.arr):
-        if c:
-            i = k * p % g.L
-            out[i] = (out[i] + c) % M
+@lru_cache(maxsize=1024)
+def _psi_source(L: int, p: int) -> tuple[int, ...]:
+    """For p prime to L: the exponent j * p^-1 mod L that psi_p moves to slot j."""
+    q = pow(p, -1, L)
+    return tuple(j * q % L for j in range(L))
+
+
+def _psi(arr: list[int], L: int, p: int) -> list[int]:
+    """psi_p (exponent k to k*p mod L) of a coefficient list, for a prime p.
+
+    Group-ring vectors exist only over Q, so each step's norm p is a rational
+    prime.  For p prime to L, psi_p permutes the exponents.  For p | L, slot
+    m*p takes the sum of the coefficients at exponents m mod L/p and every
+    other slot is 0.  Sums are not reduced: the caller reduces mod M.
+    """
+    if L % p:
+        return list(map(arr.__getitem__, _psi_source(L, p)))
+    Lp = L // p
+    out = [0] * L
+    out[::p] = map(sum, zip(*[arr[i : i + Lp] for i in range(0, L, Lp)]))
     return out
+
+
+def _psi_step(g: _ModGring, p: int, powed: list[int], nm: int):
+    """One certificate step on psi_p(g) - powed mod M: (bad, quot).
+
+    bad is the first exponent whose coefficient p does not divide, or None.
+    quot is the coefficient-wise quotient by p mod nm, built only when
+    nothing is bad and nm > 1 (at the last level nothing reads it).  The
+    difference is one pass; divisibility is one C-level any(), and only a
+    failure walks the coefficients again to name the exponent.
+    """
+    M = g.modulus
+    diff = list(map(M.__rmod__, map(operator.sub, _psi(g.arr, g.L, p), powed)))
+    if any(map(p.__rmod__, diff)):
+        return next(k for k, c in enumerate(diff) if c % p), None
+    if nm == 1:
+        return None, None
+    return None, list(map(nm.__rmod__, map(p.__rfloordiv__, diff)))
 
 
 def _kronecker_mul(a: list[int], b: list[int], L: int, M: int) -> list[int]:
@@ -396,7 +433,9 @@ def _kronecker_mul(a: list[int], b: list[int], L: int, M: int) -> list[int]:
     M = 1 and L = 1 get a word too), where n <= L is the smaller count of
     nonzero coefficients in a and b.  A coefficient of M > 2^64 is split
     into 64-bit limbs, one word apart, and a slot is joined back from its w
-    words.
+    words.  With one word and one limb (every depth-1 node of a depth-2
+    certificate over primes <= 13, M = 30030) the lists pack and unpack
+    as the words themselves, without the zero-filled buffer.
 
     Folding invariant.  Slot i of the product holds linear coefficient i,
     0 <= i <= 2L-2.  Circular coefficient j is linear coefficient j plus
@@ -410,11 +449,15 @@ def _kronecker_mul(a: list[int], b: list[int], L: int, M: int) -> list[int]:
     w = max(1, -(-(n * (M - 1) * (M - 1)).bit_length() // 64))
     limbs = max(1, -(-(M - 1).bit_length() // 64))
     n_words = L * w
+    one_word = w == 1 and limbs == 1
 
     def pack(v: list[int]) -> int:
-        words = array("Q", bytes(8 * n_words))
-        for j in range(limbs):
-            words[j::w] = array("Q", v if limbs == 1 else [c >> (64 * j) & _WORD for c in v])
+        if one_word:
+            words = array("Q", v)
+        else:
+            words = array("Q", bytes(8 * n_words))
+            for j in range(limbs):
+                words[j::w] = array("Q", v if limbs == 1 else [c >> (64 * j) & _WORD for c in v])
         if _BIG_ENDIAN:
             words.byteswap()
         return int.from_bytes(words, "little")
@@ -426,6 +469,8 @@ def _kronecker_mul(a: list[int], b: list[int], L: int, M: int) -> list[int]:
     words = array("Q", folded.to_bytes(8 * n_words, "little"))
     if _BIG_ENDIAN:
         words.byteswap()
+    if one_word:
+        return list(map(M.__rmod__, words))
     out = words[0::w]
     for j in range(1, w):
         out = [c | h << (64 * j) for c, h in zip(out, words[j::w])]
@@ -470,9 +515,8 @@ def check_un(xi: WittVector, depth: int, prime_norm_bound: int) -> UnReport:
         raise UsageError("check_un needs an exact domain; certify the vector first")
     if depth < 0:
         raise UsageError("depth must be >= 0")
-    warnings: list[str] = []
-    skipped: list[str] = []
-    steps, used = _principal_prime_steps(xi.field, prime_norm_bound, warnings, skipped)
+    steps, used, skipped, warnings = _principal_prime_steps(xi.field, prime_norm_bound)
+    used, skipped, warnings = list(used), list(skipped), list(warnings)
     if depth > 0 and not steps:
         warnings.append(
             f"no principal primes of norm <= {prime_norm_bound}; "
@@ -536,6 +580,13 @@ def _vector_integral(xi: WittVector, path, entries, stats) -> bool:
 
 
 def _rec_modular(mg: _ModGring, n: int, path, steps, R, entries, stats) -> bool:
+    """Depth n of the tower on coefficients mod M = R^n, one pass per step.
+
+    Per principal prime p the step is psi_p(g) - g^p mod M by index
+    arithmetic (_psi_step), its divisibility by p, and the quotient mod
+    R^(n-1), which the next depth tests.  Divisibility is verified mod M at
+    every depth, as each entry says.
+    """
     if n == 0:
         entries.append(
             CheckEntry(
@@ -548,17 +599,15 @@ def _rec_modular(mg: _ModGring, n: int, path, steps, R, entries, stats) -> bool:
         return True
     stats["certificate_levels"] += 1
     ok = True
+    M = mg.modulus
+    nm = R ** (n - 1)
     powers = _chain_powers(mg, [np_ for _, np_, _, _ in steps])
     for _, np_, _, label in steps:
         if mg.bound // np_ < 1:
             raise BoundExhaustedError(
                 f"bound {mg.bound} cannot support a shift by {label} at path {path}"
             )
-        shifted = _mod_psi(mg, np_)
-        powed = powers[np_]
-        M = mg.modulus
-        diff = [(s - t) % M for s, t in zip(shifted, powed)]
-        bad = next((k for k, c in enumerate(diff) if c % np_), None)
+        bad, quot = _psi_step(mg, np_, powers[np_], nm)
         if bad is not None:
             raise WittkitError(
                 "internal: coefficient certificate failed for an integer "
@@ -573,14 +622,8 @@ def _rec_modular(mg: _ModGring, n: int, path, steps, R, entries, stats) -> bool:
                 f"(verified mod {M})",
             )
         )
-        nm = R ** (n - 1)
-        quot = _ModGring(
-            [(c // np_) % nm if nm > 1 else 0 for c in diff],
-            mg.L,
-            max(nm, 1),
-            mg.bound // np_,
-        )
-        ok = _rec_modular(quot, n - 1, path + (label,), steps, R, entries, stats) and ok
+        child = _ModGring(quot, mg.L, nm, mg.bound // np_)
+        ok = _rec_modular(child, n - 1, path + (label,), steps, R, entries, stats) and ok
     return ok
 
 

@@ -351,3 +351,19 @@ def test_principal_ideal_of_an_element_round_trips():
 def test_ideal_divisors_are_the_ideals_of_smaller_norm_containing_p(p):
     containing = [q for q in enumerate_ideals(p.field, int(p.norm())) if q.contains_ideal(p)]
     assert ideal_divisors(p) == sorted(containing, key=lambda q: (q.norm(), q.a, q.b, q.c))
+
+
+# tower moduli of the benchmark's pool and the product of the primes up to 13
+_RATIONAL_NORMS = st.sampled_from([1, 5, 6, 11, 12, 36, 60, 63, 140, 30030]) | st.integers(1, 3000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RATIONAL_NORMS, st.one_of(st.just(1), st.integers(1, 12)))
+def test_rational_ideal_divisors_are_the_ideals_of_smaller_norm_containing_p(a, den):
+    p = IdealHNF(make_field(1), a, 0, 1, den)
+    if not p.is_integral():
+        with pytest.raises(UsageError, match="integral"):
+            ideal_divisors(p)
+        return
+    containing = [q for q in enumerate_ideals(p.field, p.a) if q.contains_ideal(p)]
+    assert ideal_divisors(p) == sorted(containing, key=lambda q: (q.norm(), q.a, q.b, q.c))

@@ -1,5 +1,6 @@
 import copy
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -11,12 +12,15 @@ from hypothesis import strategies as st
 from wittkit import witt
 from wittkit.cyclotomic import cyclo_context
 from wittkit.domains import BigComplex, ExactCyclotomic, ExactNumberField, domain_from_json
-from wittkit.errors import BoundExhaustedError, UsageError
+from wittkit.errors import BoundExhaustedError, UsageError, WittkitError
 from wittkit.modular import clear_caches, level_family_vectors
-from wittkit.qfield import IdealHNF, enumerate_ideals, ideal_mul, make_field, unit_ideal
+from wittkit.qfield import IdealHNF, enumerate_ideals, ideal_mul, make_field, prime_ideals, unit_ideal
 from wittkit.witt import (
     WittVector,
     _kronecker_mul,
+    _ModGring,
+    _psi,
+    _psi_step,
     all_ones,
     check_un,
     component_report,
@@ -815,6 +819,123 @@ def test_kronecker_calls_per_certificate_level(monkeypatch):
     nodes = report.stats["certificate_levels"] - 1
     assert nodes == 7
     assert 0 < len(calls) <= 8 * nodes
+
+
+def _mod_psi(g, p: int) -> list[int]:
+    """psi_p on a _ModGring one exponent at a time, reduced mod M."""
+    out = [0] * g.L
+    M = g.modulus
+    for k, c in enumerate(g.arr):
+        if c:
+            i = k * p % g.L
+            out[i] = (out[i] + c) % M
+    return out
+
+
+def _slow_psi_step(g, p: int, powed: list[int], nm: int):
+    """The per-coefficient step: difference list, divisibility scan, quotient."""
+    M = g.modulus
+    diff = [(s - t) % M for s, t in zip(_mod_psi(g, p), powed)]
+    bad = next((k for k, c in enumerate(diff) if c % p), None)
+    if bad is not None:
+        return bad, None
+    return None, [(c // p) % nm if nm > 1 else 0 for c in diff]
+
+
+@st.composite
+def _psi_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    L = draw(st.integers(1, 210))
+    if draw(st.booleans()):  # p | L half the time
+        L = p * draw(st.integers(1, 210 // p))
+    M = draw(st.sampled_from([1, 2, 30030, 30030**2]) | st.integers(1, 30030**3))
+    coeff = st.integers(0, M - 1)
+    fill = draw(st.sampled_from(["random", "worst", "mixed"]))
+    if fill == "worst":
+        coeff = st.just(M - 1)
+    elif fill == "mixed":
+        coeff = st.sampled_from([0, M - 1]) | coeff
+    g = _ModGring(draw(st.lists(coeff, min_size=L, max_size=L)), L, M, 200)
+    if draw(st.booleans()):
+        powed = draw(st.lists(coeff, min_size=L, max_size=L))
+    else:  # psi - powed is p*x with p*x < M: divisible, with no wrap mod M
+        xs = draw(st.lists(st.integers(0, (M - 1) // p), min_size=L, max_size=L))
+        powed = [(s - p * x) % M for s, x in zip(_mod_psi(g, p), xs)]
+        if draw(st.booleans()):  # and now and then one coefficient off by one
+            k = draw(st.integers(0, L - 1))
+            powed[k] = (powed[k] + 1) % M
+    nm = draw(st.sampled_from([1, 2, 30030]) | st.integers(1, 30030**2))
+    return g, p, powed, nm
+
+
+@settings(max_examples=300, deadline=None)
+@given(_psi_cases())
+def test_psi_and_fused_step_match_the_per_coefficient_oracle(case):
+    g, p, powed, nm = case
+    arr_before, powed_before = list(g.arr), list(powed)
+    assert [c % g.modulus for c in _psi(g.arr, g.L, p)] == _mod_psi(g, p)
+    bad, quot = _psi_step(g, p, powed, nm)
+    want_bad, want_quot = _slow_psi_step(g, p, powed, nm)
+    assert bad == want_bad
+    # the last level (nm = 1) builds no quotient; the oracle's is all zeros
+    assert quot == (want_quot if nm > 1 else None)
+    assert g.arr == arr_before and powed == powed_before
+
+
+@pytest.mark.parametrize("label, bad", [("(2)", [0]), ("(5)", [9, 4]), ("(13)", [419, 17, 100])])
+def test_failed_coefficient_certificate_names_the_prime_and_first_exponent(label, bad, monkeypatch):
+    """The internal failure branch: a power off by one at one prime of the root."""
+    real = witt._chain_powers
+    nodes = []
+    p = int(label[1:-1])
+
+    def perturbed(g, norms):
+        powers = real(g, norms)
+        nodes.append(g.L)
+        if len(nodes) == 1:
+            powers[p] = list(powers[p])
+            for k in bad:
+                powers[p][k] = (powers[p][k] + 1) % g.modulus
+        return powers
+
+    monkeypatch.setattr(witt, "_chain_powers", perturbed)
+    xi = zlinear_combine([2, -3, 5], [Fraction(1, 4), Fraction(1, 7), Fraction(2, 15)], 200)
+    msg = f"at prime {re.escape(label)}, exponent {min(bad)}$"
+    with pytest.raises(WittkitError, match=msg) as err:
+        check_un(xi, 2, 13)
+    assert str(err.value).startswith("internal: coefficient certificate failed")
+    # the primes before p certified their subtrees first: the root and one node each
+    assert len(nodes) == 1 + [2, 3, 5, 7, 11, 13].index(p)
+
+
+def test_prime_steps_are_found_once_per_field_and_bound(monkeypatch):
+    real = witt.is_principal
+    calls = Counter()
+
+    def counting(p):
+        calls[p] += 1
+        return real(p)
+
+    monkeypatch.setattr(witt, "is_principal", counting)
+    witt._principal_prime_steps.cache_clear()
+    rho = rho_vector(IdealHNF(K5, 1, 0, 1), 60)
+    cases = [
+        (zlinear_combine([2, -3], [Fraction(1, 4), Fraction(1, 7)], 200), 2, 13),
+        (zeta_gamma(3, 1, 60), 1, 13),
+        (rho, 1, 7),
+        # no principal prime of norm <= 3: check_un appends its own warning
+        (rho, 1, 3),
+    ]
+    for xi, depth, bound in cases:
+        first = check_un(xi, depth, bound)
+        want = copy.deepcopy(first.to_json())  # to_json hands out the report's lists
+        for field in (first.warnings, first.primes_skipped, first.primes_used):
+            field.append("changed by the caller")
+        for _ in range(2):
+            assert check_un(xi, depth, bound).to_json() == want
+    assert check_un(rho, 1, 3).warnings[-1].startswith("no principal primes of norm <= 3")
+    # is_principal once per prime and (field, bound), however many calls
+    assert calls == Counter(prime_ideals(Q, 13) + prime_ideals(K5, 7) + prime_ideals(K5, 3))
 
 
 def _fresh_value(xi, a):
