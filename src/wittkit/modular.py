@@ -33,13 +33,13 @@ series, the checked j, each Fricke index) across the CPUs in the process's
 affinity mask, share i of n taking the pending points i, i+n, i+2n, ..., and
 reads the vectors off in family and then ideal order.  The process takes one
 share and forked children the others; each child evaluates its share with
-the same code and pickles back its series, so the cache holds what one
-process would have computed.  level_family_vectors (all N^2 families of a
-level) and modular_vector (one family) call it.  There is no option; one
-CPU (taskset -c 0), no fork, a second live thread or fewer than
-2*_MIN_SHARE pending points mean one process.  What a failed child leaves
-is evaluated in the read-off, so every error is raised by in-process code,
-in family and then ideal order.
+the same code and pickles back its series whole, theta constants included,
+so the cache holds what one process would have computed.
+level_family_vectors (all N^2 families of a level) and modular_vector (one
+family) call it.  There is no option; one CPU (taskset -c 0), no fork, a
+second live thread or fewer than 2*_MIN_SHARE pending points mean one
+process.  What a failed child leaves is evaluated in the read-off, so every
+error is raised by in-process code, in family and then ideal order.
 The public eisenstein, j_invariant and fricke sum a fresh series on every
 call and serve as the uncached oracle.
 
@@ -54,7 +54,7 @@ import math
 import os
 import pickle
 import threading
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 import mpmath
@@ -189,11 +189,11 @@ class _Series:
     """tau reduced by g = (p, q, r, s), the working dps, and the series there.
 
     A pure function of tau's bits and prec, so CM vectors share one per
-    distinct (tau, prec) (see _cm_series).  `j` is filled on first request,
+    distinct (tau, prec) (see _component).  `j` is filled on first request,
     after the Delta and j cross-checks, and `theta` on the first Fricke
     request.  `fricke` maps (index, power) to the Fricke component there
-    (see _fricke_component) and `prefactor` maps a power k to its factor
-    g2*g3/Delta, g2^2/Delta or g3/Delta.
+    and `prefactor` maps a power k to its factor g2*g3/Delta, g2^2/Delta or
+    g3/Delta.
     """
 
     tred: object
@@ -616,23 +616,23 @@ def char_family_from_ideal(a: IdealHNF) -> CharFamily:
 # Components at distinct CM points, evaluated across CPUs
 
 
-def _cm_series(tau, prec: int) -> _Series:
-    """The series at a CM point's tau, summed once per distinct (tau, prec).
+def _component(tau, a, k: int, prec: int):
+    """What a family reads at a CM point's tau: the checked j for a = (0, 0),
+    else the Fricke component at index a and power k.
 
-    The key is what _series reads, tau's bits and prec, not the element
-    w1/w2 of K: for d = -1 the ideals (5,2,1,1) and (15,6,3,1) both have
-    tau = 3/5 + i/5, but the numeric tau of the second differs in the last
-    bit, so its components must not reuse the first one's series.
+    The series is summed once per distinct (tau, prec), each component once
+    per series, index and power.  The key is what _series reads, tau's bits
+    and prec, not the element w1/w2 of K: for d = -1 the ideals (5,2,1,1)
+    and (15,6,3,1) both have tau = 3/5 + i/5, but the numeric tau of the
+    second differs in the last bit, so its components must not reuse the
+    first one's series.
     """
     key = (tau._mpc_, prec)
     ser = _SERIES_CACHE.get(key)
     if ser is None:
         ser = _SERIES_CACHE[key] = _series(tau, prec)
-    return ser
-
-
-def _fricke_component(ser: _Series, a, k: int):
-    """_fricke_at(a, ser, k), evaluated once per series, index and power."""
+    if a == (0, 0):
+        return _checked_j(ser, prec)
     value = ser.fricke.get((a, k))
     if value is None:
         value = ser.fricke[(a, k)] = _fricke_at(a, ser, k)
@@ -659,36 +659,27 @@ def _striped_shares(pending: list) -> list[list]:
 
 def _evaluate_share(share, k: int, prec: int) -> None:
     """Evaluate a share into _SERIES_CACHE, stopping at the first error: at each
-    (key, (tau, want_j, indices)), the series, its checked j if want_j and the
-    Fricke components at the indices.
+    (key, (tau, indices)), the series and the component at each index.
 
     The error is not raised here: the caller evaluates what is still
     missing again, in family and ideal order, so it surfaces exactly as a
     serial sweep raises it.
     """
-    for _, (tau, want_j, indices) in share:
+    for _, (tau, indices) in share:
         try:
-            ser = _cm_series(tau, prec)
-            if want_j:
-                _checked_j(ser, prec)
             for a in indices:
-                _fricke_component(ser, a, k)
+                _component(tau, a, k, prec)
         except Exception:  # re-raised by the caller's in-order pass
             return
 
 
 def _evaluate_in_child(share, k: int, prec: int, fd: int):
     """In a forked child: evaluate the share, pickle its cached series to fd and
-    exit, never return.
-
-    The theta constants stay here: they would treble the time the parent
-    takes to unpickle a share.  Those the parent did not hold at the fork
-    are summed again by a later sweep that asks for new Fricke indices.
-    """
+    exit, never return."""
     status = 1
     try:
         _evaluate_share(share, k, prec)
-        series = {key: replace(_SERIES_CACHE[key], theta=None) for key, _ in share if key in _SERIES_CACHE}
+        series = {key: _SERIES_CACHE[key] for key, _ in share if key in _SERIES_CACHE}
         with os.fdopen(fd, "wb") as f:
             pickle.dump(series, f)
         status = 0
@@ -702,32 +693,27 @@ def _evaluate_missing(points: list[CmPoint], indices: list[list], k: int, prec: 
     Fricke index, or None) ask for and it lacks, across CPUs.
 
     Share 0 is evaluated here, each other share in a forked child that
-    pickles back its series.  The payload is trusted because it only crosses
-    a pipe this process created to its own fork; it is kept if the child
-    exited 0 and sent a dict from keys of its share to _Series.  Shares are
-    disjoint, so a child's series holds everything this process had at the
-    fork and replaces it, but for the theta constants, which it does not
-    send.  What a failed child leaves is evaluated again by the caller's
-    read-off, so every error comes from in-process code.
+    pickles back its series whole, theta constants included.  The payload is
+    trusted because it only crosses a pipe this process created to its own
+    fork; it is kept if the child exited 0 and sent a dict from keys of its
+    share to _Series.  Shares are disjoint and a child starts from this
+    process's cache, so its series hold everything this process had at the
+    fork and replace it.  What a failed child leaves is evaluated again by
+    the caller's read-off, so every error comes from in-process code.
     """
-    wants = {}  # key -> [tau, j asked for, Fricke indices in first-asked order]
+    lacking = {}  # key -> (tau, indices the cache lacks, in first-asked order)
     for family_indices in indices:
         for pt, a in zip(points, family_indices):
             if a is None:
                 continue
-            want = wants.setdefault((pt.tau._mpc_, prec), [pt.tau, False, []])
-            if a == (0, 0):
-                want[1] = True
-            elif a not in want[2]:
-                want[2].append(a)
-    pending = []  # (key, (tau, j missing, Fricke indices missing))
-    for key, (tau, want_j, asked) in wants.items():
-        ser = _SERIES_CACHE.get(key)
-        want_j = want_j and (ser is None or ser.j is None)
-        asked = tuple(a for a in asked if ser is None or (a, k) not in ser.fricke)
-        if ser is None or want_j or asked:
-            pending.append((key, (tau, want_j, asked)))
-    shares = _striped_shares(pending)
+            key = (pt.tau._mpc_, prec)
+            ser = _SERIES_CACHE.get(key)
+            if ser is not None and (ser.j if a == (0, 0) else ser.fricke.get((a, k))) is not None:
+                continue
+            asked = lacking.setdefault(key, (pt.tau, []))[1]
+            if a not in asked:
+                asked.append(a)
+    shares = _striped_shares(list(lacking.items()))
     children = []  # (share, pid, read end of its pipe)
     try:
         for share in shares[1:]:
@@ -759,11 +745,8 @@ def _evaluate_missing(points: list[CmPoint], indices: list[list], k: int, prec: 
             series = pickle.loads(data)
         except Exception:  # cut short or garbled: the read-off evaluates the share
             continue
-        keys = {key for key, _ in share}
-        if isinstance(series, dict) and series.keys() <= keys and all(type(v) is _Series for v in series.values()):
-            for key, ser in series.items():
-                if key in _SERIES_CACHE:
-                    ser.theta = _SERIES_CACHE[key].theta
+        sound = isinstance(series, dict) and series.keys() <= dict(share).keys()
+        if sound and all(type(v) is _Series for v in series.values()):
             _SERIES_CACHE.update(series)
 
 
@@ -772,7 +755,7 @@ def _evaluate_missing(points: list[CmPoint], indices: list[list], k: int, prec: 
 
 
 def _j_component(a: IdealHNF, prec: int):
-    return _checked_j(_cm_series(cm_point(a, prec).tau, prec), prec)
+    return _component(cm_point(a, prec).tau, (0, 0), 0, prec)
 
 
 def _family_indices(family, matrices) -> list:
@@ -824,10 +807,8 @@ def family_vectors(families: list, field: QuadField, bound: int, prec: int) -> l
                 entries = tuple(tuple(m % family.N for m in row) for row in pt.matrix)
                 with mpmath.workdps(prec + GUARD_DIGITS):
                     values[b] = mpmath.mpc(1 if entries in family.S else 0)
-            elif a == (0, 0):
-                values[b] = _checked_j(_cm_series(pt.tau, prec), prec)
             else:
-                values[b] = _fricke_component(_cm_series(pt.tau, prec), a, k)
+                values[b] = _component(pt.tau, a, k, prec)
         vectors.append(WittVector(field, domain, bound, values=values))
     return vectors
 

@@ -1164,6 +1164,8 @@ def _component_degree(xi: WittVector, vals, dmax):
         polys.append(tuple(poly))
     method = "charpoly-factor" if domain.kind == "numberfield" else "lll"
     distinct = sorted(set(polys))
+    if all(len(coeffs) == 2 for coeffs in distinct):  # every value is rational
+        return 1, True, method, ""
     if len(distinct) > 1:
         return (
             None,
@@ -1173,8 +1175,6 @@ def _component_degree(xi: WittVector, vals, dmax):
         )
     coeffs = distinct[0]
     deg = len(coeffs) - 1
-    if deg == 1:
-        return 1, True, method, ""
     if deg == 2:
         c0, c1, c2 = coeffs
         disc = c1 * c1 - 4 * c0 * c2

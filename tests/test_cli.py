@@ -119,6 +119,16 @@ def test_witt_orbit_and_modulus(capsys, tmp_path):
     assert code == 0 and data["found"] and data["label"] == "(3)"
 
 
+def test_witt_orbit_of_a_modular_spec(capsys, tmp_path):
+    spec = _write_spec(tmp_path, "j5.json", {"kind": "modular", "d": -5, "bound": 20, "prec": 60})
+    code, data = run_cli(capsys, "witt", "orbit", "--vector", spec)
+    assert code == 0
+    assert data.pop("params") == {"bound": 20, "prime_norm_bound": 10, "depth": None, "prec": 60}
+    modular.clear_caches()
+    assert data == witt.orbit_monoid([modular.modular_vector(JFamily(), K5, 20, 60)], 10).to_json()
+    modular.clear_caches()
+
+
 def test_cyclic_search_asserts_nothing(capsys):
     code, data = run_cli(
         capsys,
@@ -377,6 +387,15 @@ def test_pipeline_malformed_toml_config_exits_2(capsys, tmp_path):
     _run_expecting_usage_error(
         capsys, "pipeline", "--config", str(cfg), "--out-dir", str(tmp_path / "out")
     )
+
+
+def test_toml_config_without_tomllib_exits_2(capsys, monkeypatch, tmp_path):
+    """Before Python 3.11 there is no tomllib: a TOML config is a usage error."""
+    monkeypatch.setitem(sys.modules, "tomllib", None)  # makes `import tomllib` raise ImportError
+    cfg = tmp_path / "cfg.toml"
+    cfg.write_text("d = -5\n")
+    code = cli.main(["pipeline", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert (code, capsys.readouterr().err) == (2, "error: TOML configs need Python 3.11+; use a JSON config\n")
 
 
 def test_minpoly_on_malformed_stored_vector_exits_2(capsys, tmp_path):

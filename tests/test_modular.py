@@ -1,4 +1,5 @@
 import errno
+import json
 import math
 import os
 import pickle
@@ -660,21 +661,26 @@ def test_striped_shares_deal_the_pending_points_in_order(monkeypatch):
     assert modular._striped_shares(pending) == [pending]
 
 
+def _log_theta_sums(monkeypatch, log) -> None:
+    """Append the reduced tau of each theta sum to the file log, in whichever
+    process sums it, the forked children included."""
+    real = modular._theta_constants
+
+    def logging(t, dps):
+        with open(log, "a") as f:
+            f.write(repr(t._mpc_) + "\n")
+        return real(t, dps)
+
+    monkeypatch.setattr(modular, "_theta_constants", logging)
+
+
 def test_theta_summed_once_per_tau_across_forked_sweeps(monkeypatch, tmp_path):
     """A child's series keeps the theta constants this process held at the fork:
     a serial level-2 sweep, a three-share level-3 sweep and a level-4 sweep
     sum theta at most once per tau, counted in every process."""
     prec, bound = 60, 30
     log = tmp_path / "theta"
-    real = modular._theta_constants
-
-    def logging(t, dps):
-        # appended by whichever process sums theta, the forked children included
-        with open(log, "a") as f:
-            f.write(repr(t._mpc_) + "\n")
-        return real(t, dps)
-
-    monkeypatch.setattr(modular, "_theta_constants", logging)
+    _log_theta_sums(monkeypatch, log)
     _force_shares(monkeypatch, 1)
     modular.clear_caches()
     level_family_vectors(K5, 2, bound, prec)
@@ -686,6 +692,26 @@ def test_theta_summed_once_per_tau_across_forked_sweeps(monkeypatch, tmp_path):
     summed = log.read_text().splitlines()
     assert len(set(summed)) == len(modular._SERIES_CACHE) == 32
     assert len(summed) == len(set(summed))
+    modular.clear_caches()
+
+
+def test_theta_first_summed_in_a_child_comes_back(monkeypatch, tmp_path):
+    """Children pickle back their series with the theta constants they summed:
+    a three-share level-2 sweep and then a three-share level-3 sweep sum theta
+    exactly once per tau, counted in every process."""
+    prec, bound = 120, 60
+    log = tmp_path / "theta"
+    _log_theta_sums(monkeypatch, log)
+    forks = _counting_forks(monkeypatch)
+    _force_shares(monkeypatch, 3)
+    modular.clear_caches()
+    level_family_vectors(K5, 2, bound, prec)
+    level_family_vectors(K5, 3, bound, prec)
+    assert len(forks) == 4
+    summed = log.read_text().splitlines()
+    filled = {repr(ser.tred._mpc_) for ser in modular._SERIES_CACHE.values() if ser.theta is not None}
+    assert len(summed) == len(set(summed)) == 52
+    assert set(summed) == filled
     modular.clear_caches()
 
 
@@ -1074,22 +1100,17 @@ def test_truncated_theta_sums_fail_jacobi_identity(monkeypatch):
         wp(mpmath.mpc("0.3", "0.4"), mpmath.mpc("0.1", "1.2"), 60)
 
 
-def test_theta_constants_summed_once_per_cm_point(monkeypatch):
-    calls = Counter()
-    real = modular._theta_constants
-
-    def counting(t, dps):
-        calls[id(t)] += 1
-        return real(t, dps)
-
-    monkeypatch.setattr(modular, "_theta_constants", counting)
+def test_theta_constants_summed_once_per_cm_point(monkeypatch, tmp_path):
+    log = tmp_path / "theta"
+    _log_theta_sums(monkeypatch, log)
     modular.clear_caches()
     modular_vector(JFamily(), K5, 20, 60)
-    assert not calls
+    assert not log.exists()
     level_family_vectors(K5, 3, 20, 60)
+    calls = Counter(log.read_text().splitlines())
     filled = [ser for ser in modular._SERIES_CACHE.values() if ser.theta is not None]
     assert filled and max(calls.values()) == 1
-    assert set(calls) == {id(ser.tred) for ser in filled}
+    assert set(calls) == {repr(ser.tred._mpc_) for ser in filled}
     modular.clear_caches()
 
 
@@ -1143,6 +1164,22 @@ def test_desk_check_payloads_are_pinned():
     assert set(_DESK_PAYLOAD_SHA256) == set(cli.DESK_CHECK_TRIPLES)
     for (d, level, bound), digest in _DESK_PAYLOAD_SHA256.items():
         assert cli._sha256(modularity_check(make_field(d), level, bound, 120)) == digest, d
+
+
+def test_wittkit_check_runs_the_pinned_desk_triples(tmp_path, capsys):
+    """`wittkit check` with no --d runs every default triple; each result, less
+    its params stamp, is the pinned payload."""
+    out = tmp_path / "check.json"
+    assert cli.main(["check", "--out", str(out)]) == 0
+    assert capsys.readouterr().err.count("PASS d=") == len(cli.DESK_CHECK_TRIPLES)
+    data = json.loads(out.read_text())
+    assert data["passed"]
+    digests = []
+    for result in data["results"]:
+        result.pop("params")
+        digests.append(cli._sha256(result))
+    assert digests == [_DESK_PAYLOAD_SHA256[triple] for triple in cli.DESK_CHECK_TRIPLES]
+    modular.clear_caches()
 
 
 _OLD_LM_CACHE: dict = {}

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittkit import witt
+from wittkit import algrec, witt
 from wittkit.cyclotomic import cyclo_context
 from wittkit.domains import BigComplex, ExactCyclotomic, ExactNumberField, domain_from_json
 from wittkit.errors import BoundExhaustedError, UsageError, WittkitError
-from wittkit.modular import clear_caches, level_family_vectors
+from wittkit.modular import FrickeFamily, JFamily, clear_caches, level_family_vectors, modular_vector
 from wittkit.qfield import IdealHNF, enumerate_ideals, ideal_mul, make_field, prime_ideals, unit_ideal
 from wittkit.witt import (
     WittVector,
@@ -318,6 +318,28 @@ def test_component_report_constant():
     assert report.n_components == 1
     assert report.blocks[0].degree_over_field == 1
     assert report.blocks[0].n_values == 1
+
+
+@pytest.mark.parametrize(
+    "d, family, bound, degree",
+    [
+        (-1, FrickeFamily((Fraction(1, 2), Fraction(0))), 80, 1),
+        (-2, FrickeFamily((Fraction(1, 2), Fraction(0))), 80, 1),
+        (-3, FrickeFamily((Fraction(1, 2), Fraction(0))), 80, 1),
+        (-5, JFamily(), 20, 2),
+    ],
+)
+def test_component_report_over_a_certified_number_field(d, family, bound, degree):
+    """A certified vector's blocks take the charpoly-factor branch.  A block of
+    rational values is degree 1, certified, even when the values have
+    different linear minimal polynomials; the d = -5 j values are quadratic."""
+    xi = algrec.certify_vector(modular_vector(family, make_field(d), bound, 120)).vector
+    assert xi.domain.kind == "numberfield"
+    report = component_report(xi, 5)
+    assert report.blocks
+    for b in report.blocks:
+        assert (b.degree_over_field, b.certified, b.method, b.note) == (degree, True, "charpoly-factor", "")
+    clear_caches()
 
 
 def test_pointwise_ops_and_rho_idempotence():
