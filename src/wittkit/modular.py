@@ -21,27 +21,43 @@ M2(Z/N)) is evaluated at every integral ideal a of norm <= B by pairing the
 CM point tau of the inverse ideal with the exact matrix expressing (omega, 1)
 in the chosen lattice basis, which cm_point builds and checks once per ideal
 (characteristic families read it mod N); the result is a Witt vector with
-big-complex components.  The ideals a and n*a share a CM point, so the
-series (with its j, theta constants and Fricke components) is summed once
-per distinct numeric tau and precision, keyed by tau's bits: the numeric
-tau depends on the basis of the inverse ideal, not only on the point, so
-keying by the element w1/w2 of K would let the first ideal enumerated
-decide another's guard digits.  family_vectors is the one path from
-families to vectors: it carries each family's index along each CM point
-once, evaluates everything the families lack at each distinct tau (the
-series, the checked j, each Fricke index) across the CPUs in the process's
-affinity mask, share i of n taking the pending points i, i+n, i+2n, ..., and
-reads the vectors off in family and then ideal order.  The process takes one
-share and forked children the others; each child evaluates its share with
-the same code and pickles back its series whole, theta constants included,
-so the cache holds what one process would have computed.
-level_family_vectors (all N^2 families of a level) and modular_vector (one
-family) call it.  There is no option; one CPU (taskset -c 0), no fork, a
-second live thread or fewer than 2*_MIN_SHARE pending points mean one
-process.  What a failed child leaves is evaluated in the read-off, so every
-error is raised by in-process code, in family and then ideal order.
-The public eisenstein, j_invariant and fricke sum a fresh series on every
-call and serve as the uncached oracle.
+big-complex components.  There are two paths from families to vectors.
+
+The desk check (modularity_check, with no vectors given) reads exact keys
+(_keyed_family_vectors).  Each ideal's CM point w1/w2 is an element of K on a
+primitive form of discriminant disc(K); Gauss reduction (qfield.reduce_form,
+class_group's convention) takes it to one of the h reduced forms by an exact
+g in SL2(Z).  j is keyed by the form, a Fricke component by the form and
+the index carried along the CM matrix and g^-1, up to sign; one series is
+summed per form, at tau = (-B + sqrt(D))/(2A) computed from integers, and
+ideals with one key read one value object.  A desk pass over the three
+standard triples sums 4 series, in one process.  Its payload prints no
+component value and its verdicts have a tolerance of 10^-(prec/3), so the
+last bits of a component do not reach it.
+
+Every other caller (modular_vector, level_family_vectors, the pipeline's
+vector and check jobs, and so every artifact) takes the per-ideal numeric
+path, family_vectors, because stored vectors print guard digits and those
+depend on each ideal's own numeric tau.  There the ideals a and n*a share a
+CM point, so the series (with its j, theta constants and Fricke components)
+is summed once per distinct numeric tau and precision, keyed by tau's bits:
+the numeric tau depends on the basis of the inverse ideal, not only on the
+point, so keying by the element w1/w2 of K would let the first ideal
+enumerated decide another's guard digits.  family_vectors carries each
+family's index along each CM point once, evaluates everything the families
+lack at each distinct tau (the series, the checked j, each Fricke index)
+across the CPUs in the process's affinity mask, share i of n taking the
+pending points i, i+n, i+2n, ..., and reads the vectors off in family and
+then ideal order.  The process takes one share and forked children the
+others; each child evaluates its share with the same code and pickles back
+its series whole, theta constants included, so the cache holds what one
+process would have computed.  There is no option; one CPU (taskset -c 0),
+no fork, a second live thread or fewer than 2*_MIN_SHARE pending points
+mean one process.  What a failed child leaves is evaluated in the read-off,
+so every error is raised by in-process code, in family and then ideal
+order.  The public eisenstein, j_invariant and fricke sum a fresh series on
+every call and serve as the uncached oracle; family_vectors is in turn the
+oracle of the keyed path.
 
 The modularity desk check (modularity_check) partitions the ideals of norm
 <= B by shift equality of the level-N family vectors and compares that
@@ -71,6 +87,7 @@ from .qfield import (
     ideal_from_elements,
     primes_over_norm,
     principal_ideal,
+    reduce_form,
     valuation,
 )
 from .rayclass import classify_ideals
@@ -189,7 +206,8 @@ class _Series:
     """tau reduced by g = (p, q, r, s), the working dps, and the series there.
 
     A pure function of tau's bits and prec, so CM vectors share one per
-    distinct (tau, prec) (see _component).  `j` is filled on first request,
+    distinct (tau, prec) (see _component), or per (form, prec) on exact keys
+    (_form_series).  `j` is filled on first request,
     after the Delta and j cross-checks, and `theta` on the first Fricke
     request.  `fricke` maps (index, power) to the Fricke component there
     and `prefactor` maps a power k to its factor g2*g3/Delta, g2^2/Delta or
@@ -465,16 +483,14 @@ def _int_div(num: int, den: int) -> int:
     return num // den
 
 
-def cm_point(a: IdealHNF, prec: int = DEFAULT_PREC) -> CmPoint:
-    """Basis (w1, w2) of the inverse ideal with tau = w1/w2 in the upper half plane."""
+def _cm_basis(a: IdealHNF):
+    """(w1, w2, matrix): the basis of the inverse ideal behind a's CM point and
+    the exact integer matrix writing (omega, 1) in it, each checked."""
     f = a.field
     if f.is_rational:
         raise UsageError("CM points exist only over imaginary quadratic fields")
     if not a.is_integral():
         raise UsageError("CM points are computed for integral ideals")
-    key = (f.d, a.key(), prec)
-    if key in _CM_CACHE:
-        return _CM_CACHE[key]
     inv = ideal_inverse(a)
     v1, v2 = inv.basis()
     w1, w2 = v2, v1  # v2 carries omega, so v2/v1 has positive imaginary part
@@ -490,13 +506,45 @@ def cm_point(a: IdealHNF, prec: int = DEFAULT_PREC) -> CmPoint:
     det = m11 * m22 - m12 * m21
     if det != a.norm():
         raise WittkitError(f"level matrix determinant {det} != N(a) = {a.norm()}")
+    return w1, w2, ((m11, m12), (m21, m22))
+
+
+def cm_point(a: IdealHNF, prec: int = DEFAULT_PREC) -> CmPoint:
+    """Basis (w1, w2) of the inverse ideal with tau = w1/w2 in the upper half plane."""
+    key = (a.field.d, a.key(), prec)
+    if key in _CM_CACHE:
+        return _CM_CACHE[key]
+    w1, w2, matrix = _cm_basis(a)
     with mpmath.workdps(prec + GUARD_DIGITS):
         tau = qelem_numeric(w1) / qelem_numeric(w2)
         if not tau.imag > 0:
             raise WittkitError("CM point landed outside the upper half plane")
-    pt = CmPoint(a, w1, w2, tau, prec, ((m11, m12), (m21, m22)))
+    pt = CmPoint(a, w1, w2, tau, prec, matrix)
     _CM_CACHE[key] = pt
     return pt
+
+
+def _cm_form(a: IdealHNF):
+    """(matrix, form, g): a's exact CM matrix (as in cm_point), the reduced form
+    (A, B, C) of its CM point and the g = (p, q, r, s) in SL2(Z) taking the
+    point to that form's root (-B + sqrt(D))/(2A), all in exact arithmetic.
+
+    The point tau = (m22*omega - m12)/m11 of K is a root of a primitive form
+    of discriminant disc(K), since Z*tau + Z is homothetic to a^-1; ideals
+    share the reduced form exactly when they share an ideal class.
+    """
+    _, _, matrix = _cm_basis(a)
+    (m11, m12), (_, m22) = matrix
+    f = a.field
+    # omega = (s + sqrt(D))/2, so tau = (x + m22*sqrt(D))/(2*m11)
+    x = m22 * f.omega_s - 2 * m12
+    A, B, C = 4 * m11 * m11, -4 * m11 * x, x * x - m22 * m22 * f.disc
+    content = math.gcd(A, math.gcd(B, C))
+    A, B, C = A // content, B // content, C // content
+    if B * B - 4 * A * C != f.disc:
+        raise WittkitError(f"CM point of {a!r} has a form of discriminant {B * B - 4 * A * C} != {f.disc}")
+    form, g = reduce_form(A, B, C)
+    return matrix, form, g
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +679,12 @@ def _component(tau, a, k: int, prec: int):
     ser = _SERIES_CACHE.get(key)
     if ser is None:
         ser = _SERIES_CACHE[key] = _series(tau, prec)
+    return _read_component(ser, a, k, prec)
+
+
+def _read_component(ser: _Series, a, k: int, prec: int):
+    """The checked j of a series for a = (0, 0), else its Fricke component at
+    index a and power k, each evaluated once."""
     if a == (0, 0):
         return _checked_j(ser, prec)
     value = ser.fricke.get((a, k))
@@ -813,6 +867,50 @@ def family_vectors(families: list, field: QuadField, bound: int, prec: int) -> l
     return vectors
 
 
+def _form_series(form, prec: int) -> _Series:
+    """The series at a reduced form's root tau = (-B + sqrt(D))/(2A), tau computed
+    from the integers, summed once per (form, prec) into _SERIES_CACHE."""
+    key = (form, prec)
+    ser = _SERIES_CACHE.get(key)
+    if ser is None:
+        A, B, C = form
+        with mpmath.workdps(prec + GUARD_DIGITS):
+            tau = mpmath.mpc(-B, mpmath.sqrt(4 * A * C - B * B)) / (2 * A)
+        ser = _SERIES_CACHE[key] = _series(tau, prec)
+    return ser
+
+
+def _keyed_family_vectors(families: list, field: QuadField, bound: int, prec: int) -> list[WittVector]:
+    """family_vectors for j and Fricke families on exact CM-point keys: one
+    series per reduced form.
+
+    Each ideal's CM point is reduced exactly (_cm_form); its j is keyed by the
+    form and a Fricke component by the form and the family's index carried
+    along the CM matrix and g^-1, folded under +-1 (wp is even).  Ideals with
+    one key read one value object.  The extra units of d = -1 and -3 are not
+    folded.  Nothing is forked, and values are read off in family and then
+    ideal order, so an error is the first one that order meets.
+    """
+    if field.is_rational:
+        raise UsageError("modular vectors live over imaginary quadratic fields")
+    k = fricke_power(field.d)
+    ideals = _ideals(field, bound)
+    keyed = [_cm_form(b) for b in ideals]
+    # the index of tau_b is a*matrix, that of the form's root a*matrix*g^-1
+    carried = [_mat_mul2(m, ((s, -q), (-r, p))) for m, _, (p, q, r, s) in keyed]
+    domain = BigComplex(prec)
+    vectors = []
+    for family in families:
+        indices = _family_indices(family, carried)
+        folded = {a: min(a, _transport(a, ((-1, 0), (0, -1)))) for a in set(indices)}
+        values = {
+            b: _read_component(_form_series(form, prec), folded[a], k, prec)
+            for b, (_, form, _), a in zip(ideals, keyed, indices)
+        }
+        vectors.append(WittVector(field, domain, bound, values=values))
+    return vectors
+
+
 def modular_vector(family, field: QuadField, bound: int, prec: int = DEFAULT_PREC) -> WittVector:
     """Evaluate the family at every integral ideal of norm <= bound."""
     return family_vectors([family], field, bound, prec)[0]
@@ -843,7 +941,8 @@ def modularity_check(field: QuadField, level: int, bound: int, prec: int, vector
     Also verifies that each shift class has a constant gcd with level*O_K,
     and flags pairs whose verdict flips within one order of the tolerance.
     `vectors`, when given, are the vectors of level_families(level) in that
-    order (say, read from a cache); otherwise level_family_vectors sums them.
+    order (say, read from a cache); otherwise they are evaluated on exact
+    CM-point keys (_keyed_family_vectors), one series per reduced form.
     """
     if level < 1:
         raise UsageError(f"level must be >= 1, got {level}")
@@ -851,7 +950,7 @@ def modularity_check(field: QuadField, level: int, bound: int, prec: int, vector
         raise UsageError("the desk check runs over imaginary quadratic fields")
     families = level_families(level)
     if vectors is None:
-        vectors = level_family_vectors(field, level, bound, prec)
+        vectors = _keyed_family_vectors(families, field, bound, prec)
     if len(vectors) != len(families):
         raise UsageError(f"the level-{level} check compares {len(families)} vectors, got {len(vectors)}")
     domain = BigComplex(prec)

@@ -604,6 +604,52 @@ def is_principal(p: IdealHNF):
     return None
 
 
+def form_is_reduced(A: int, B: int, C: int) -> bool:
+    """|B| <= A <= C, with B >= 0 when |B| = A or A = C: one reduced form per
+    proper equivalence class of positive definite forms."""
+    return -A < B <= A <= C and not (A == C and B < 0)
+
+
+def reduce_form(A: int, B: int, C: int) -> tuple[tuple[int, int, int], tuple[int, int, int, int]]:
+    """Gauss reduction of a positive definite form, tracking the matrix.
+
+    Returns ((A', B', C'), (p, q, r, s)) with (A', B', C') reduced
+    (form_is_reduced) and det = 1, such that the root tau = (-B + sqrt(D))/(2A)
+    in the upper half plane goes to the reduced form's root as
+    (p*tau + q)/(r*tau + s).  Cohen, A Course in Computational Algebraic
+    Number Theory, 5.4.2.
+    """
+    if A <= 0 or B * B - 4 * A * C >= 0:
+        raise UsageError(f"({A}, {B}, {C}) is not a positive definite form")
+    p, q, r, s = 1, 0, 0, 1
+    while True:
+        n = -((A - B) // (2 * A))  # ceil((B - A)/2A): B - 2An lands in (-A, A]
+        if n:
+            # tau -> tau + n
+            B, C = B - 2 * A * n, A * n * n - B * n + C
+            p, q = p + n * r, q + n * s
+        if form_is_reduced(A, B, C):
+            return (A, B, C), (p, q, r, s)
+        # tau -> -1/tau
+        A, B, C = C, -B, A
+        p, q, r, s = -r, -s, p, q
+
+
+def reduced_forms(field: QuadField) -> list[tuple[int, int, int]]:
+    """The reduced primitive forms (A, B, C) of discriminant disc(K), in (A, B) order."""
+    D = field.disc
+    forms = []
+    amax = math.isqrt(abs(D) // 3)
+    for A in range(1, amax + 1):
+        for B in range(-A + 1, A + 1):
+            if (B * B - D) % (4 * A):
+                continue
+            C = (B * B - D) // (4 * A)
+            if form_is_reduced(A, B, C) and math.gcd(A, math.gcd(B, C)) == 1:
+                forms.append((A, B, C))
+    return forms
+
+
 def class_group(field: QuadField) -> list[IdealHNF]:
     """Ideal class representatives from reduced primitive forms of disc(K).
 
@@ -613,24 +659,8 @@ def class_group(field: QuadField) -> list[IdealHNF]:
     """
     if field.is_rational:
         return [unit_ideal(field)]
-    D = field.disc
-    forms = []
-    amax = math.isqrt(abs(D) // 3)
-    for A in range(1, amax + 1):
-        for B in range(-A + 1, A + 1):
-            if (B * B - D) % (4 * A):
-                continue
-            C = (B * B - D) // (4 * A)
-            if C < A:
-                continue
-            if A == C and B < 0:
-                continue
-            if math.gcd(A, math.gcd(B, C)) != 1:
-                continue
-            forms.append((A, B, C))
-    forms.sort()
     reps = []
-    for A, B, C in forms:
+    for A, B, C in reduced_forms(field):
         if field.omega_s:
             b = ((-B - 1) // 2) % A  # (-B + sqrt d)/2 = (-B-1)/2 + omega, B odd
         else:

@@ -37,10 +37,16 @@ from wittkit.modular import (
 from wittkit.qfield import (
     IdealHNF,
     QuadElement,
+    class_group,
     enumerate_ideals,
+    ideal_div,
+    ideal_from_elements,
     ideal_inverse,
+    ideal_mul,
+    is_principal,
     make_field,
     principal_ideal,
+    reduced_forms,
     unit_ideal,
 )
 
@@ -971,13 +977,13 @@ def test_clear_caches_empties_every_modular_cache():
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_modularity_check_names_the_families_it_compares(level, monkeypatch):
     sweeps = []
-    real = modular.family_vectors
+    real = modular._keyed_family_vectors
 
     def recording(families, field, bound, prec):
         sweeps.append([family.describe() for family in families])
         return real(families, field, bound, prec)
 
-    monkeypatch.setattr(modular, "family_vectors", recording)
+    monkeypatch.setattr(modular, "_keyed_family_vectors", recording)
     result = modular.modularity_check(K5, level, 6, 60)
     # one sweep evaluates every family
     assert len(sweeps) == 1
@@ -1179,6 +1185,105 @@ def test_wittkit_check_runs_the_pinned_desk_triples(tmp_path, capsys):
         result.pop("params")
         digests.append(cli._sha256(result))
     assert digests == [_DESK_PAYLOAD_SHA256[triple] for triple in cli.DESK_CHECK_TRIPLES]
+    modular.clear_caches()
+
+
+# ---------------------------------------------------------------------------
+# The desk check on exact CM-point keys, against the per-ideal numeric path
+
+
+def _form_root(field, form) -> QuadElement:
+    """(-B + sqrt(D))/(2A) in K, with sqrt(D) = 2*omega - s."""
+    A, B, _ = form
+    return QuadElement(field, Fraction(-B - field.omega_s, 2 * A), Fraction(1, A))
+
+
+def _component_key(b, family, prec):
+    """The key an ideal's component is read under: the reduced form, and for a
+    Fricke family the index carried along the CM matrix and g^-1, up to sign."""
+    matrix, form, (p, q, r, s) = modular._cm_form(b)
+    if isinstance(family, JFamily):
+        return form, prec, (0, 0)
+    a = modular._transport(modular._transport(family.a, matrix), ((s, -q), (-r, p)))
+    return form, prec, min(a, modular._transport(a, ((-1, 0), (0, -1))))
+
+
+def _agree(u, v, prec) -> bool:
+    """Relative agreement to 10^-(prec+5); components that vanish (some Fricke
+    components of d = -1 and -3) agree when both lie below 10^-prec."""
+    with mpmath.workdps(prec + GUARD_DIGITS):
+        tiny = mpmath.mpf(10) ** -prec
+        return abs(u - v) <= abs(v) * tiny / 10**5 or max(abs(u), abs(v)) < tiny
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    d=st.sampled_from([-1, -2, -3, -5, -6, -7, -10, -11, -14, -15, -17, -21, -23]),
+    N=st.integers(1, 4),
+    bound=st.integers(1, 40),
+)
+def test_keyed_components_match_the_per_ideal_numeric_path(d, N, bound):
+    K, prec = make_field(d), 60
+    families = level_families(N)
+    modular.clear_caches()
+    keyed = modular._keyed_family_vectors(families, K, bound, prec)
+    numeric = modular.family_vectors(families, K, bound, prec)
+    read = {}  # key -> the one value object its ideals read
+    for family, xi, oracle in zip(families, keyed, numeric):
+        for b in xi.ideals():
+            value = xi.value_at(b)
+            assert _agree(value, oracle.value_at(b), prec), (family, b)
+            assert read.setdefault(_component_key(b, family, prec), value) is value, (family, b)
+    # and keys that differ read values evaluated apart
+    assert len({id(v) for v in read.values()}) == len(read)
+    assert modularity_check(K, N, bound, prec) == modularity_check(K, N, bound, prec, numeric)
+    modular.clear_caches()
+
+
+@pytest.mark.parametrize("d", [-1, -3, -5, -6, -15, -23])
+def test_cm_forms_are_the_class_group_forms_one_per_class(d):
+    """Each ideal's reduced form is one of class_group's, g takes its CM point
+    to the form's root exactly in K, and two ideals share a form iff they
+    share an ideal class (that of the inverse of the form's ideal)."""
+    K = make_field(d)
+    forms = reduced_forms(K)
+    reps = class_group(K)
+    seen = set()
+    for b in enumerate_ideals(K, 30):
+        matrix, form, (p, q, r, s) = modular._cm_form(b)
+        (m11, m12), (_, m22) = matrix
+        assert form in forms
+        tau = (K.omega().scale(m22) - K.one().scale(m12)).scale(Fraction(1, m11))
+        assert tau == cm_point(b).w1 / cm_point(b).w2
+        moved = (tau.scale(p) + K.one().scale(q)) / (tau.scale(r) + K.one().scale(s))
+        assert p * s - q * r == 1
+        assert moved == _form_root(K, form)
+        cls = next(i for i, rep in enumerate(reps) if is_principal(ideal_div(b, rep)) is not None)
+        form_ideal = ideal_from_elements(K, [K.one().scale(form[0]), _form_root(K, form).scale(form[0])])
+        assert is_principal(ideal_mul(b, form_ideal)) is not None
+        seen.add((cls, form))
+    assert len(seen) == len({c for c, _ in seen}) == len({f for _, f in seen}) == len(forms)
+
+
+def test_default_desk_check_sums_one_series_per_form_and_never_forks(tmp_path, monkeypatch):
+    summed = []
+    real = modular._eis_series
+
+    def counting(t):
+        summed.append(t)
+        return real(t)
+
+    def no_fork():
+        raise AssertionError("the desk check forked")
+
+    monkeypatch.setattr(modular, "_eis_series", counting)
+    monkeypatch.setattr(os, "fork", no_fork)
+    modular.clear_caches()
+    assert cli.main(["check", "--out", str(tmp_path / "check.json")]) == 0
+    assert len(summed) == 1 + 2 + 1
+    forms = {(-1, 2, 60): [(1, 0, 1)], (-5, 1, 60): [(1, 0, 5), (2, 2, 3)], (-3, 2, 40): [(1, 1, 1)]}
+    assert forms.keys() == set(cli.DESK_CHECK_TRIPLES)
+    assert set(modular._SERIES_CACHE) == {(form, 120) for fs in forms.values() for form in fs}
     modular.clear_caches()
 
 

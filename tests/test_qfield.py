@@ -13,6 +13,7 @@ from wittkit.qfield import (
     enumerate_ideals,
     factor_ideal,
     factor_prime,
+    form_is_reduced,
     ideal_add,
     ideal_div,
     ideal_divisors,
@@ -25,6 +26,8 @@ from wittkit.qfield import (
     make_field,
     prime_ideals,
     principal_ideal,
+    reduce_form,
+    reduced_forms,
     unit_ideal,
 )
 
@@ -247,10 +250,48 @@ def test_class_group_against_forms_oracle():
         field = make_field(d)
         reps = class_group(field)
         assert len(reps) == h == len(_reduced_forms(field.disc))
+        assert reduced_forms(field) == _reduced_forms(field.disc)
         assert reps[0] == unit_ideal(field)
         for r in reps:
             assert r.is_integral()
     assert class_group(Q) == [unit_ideal(Q)]
+
+
+def _root_in_qsqrt(A, B):
+    """(-B + sqrt(D))/(2A) as the pair (x, y) for x + y*sqrt(D)."""
+    return Fraction(-B, 2 * A), Fraction(1, 2 * A)
+
+
+def _mobius_in_qsqrt(g, t, D):
+    """(p*t + q)/(r*t + s) for t = x + y*sqrt(D), exactly."""
+    p, q, r, s = g
+    (x, y), (u, v) = (p * t[0] + q, p * t[1]), (r * t[0] + s, r * t[1])
+    n = u * u - v * v * D
+    return (x * u - y * v * D) / n, (y * u - x * v) / n
+
+
+def test_reduce_form_lands_on_the_reduced_form_of_the_class():
+    rng = random.Random(5)
+    for _ in range(400):
+        A, C = rng.randint(1, 300), rng.randint(1, 300)
+        bmax = math.isqrt(4 * A * C - 1)  # B^2 < 4AC: positive definite
+        B = rng.randint(-bmax, bmax)
+        D = B * B - 4 * A * C
+        form, g = reduce_form(A, B, C)
+        p, q, r, s = g
+        assert p * s - q * r == 1
+        assert form_is_reduced(*form) and form[1] ** 2 - 4 * form[0] * form[2] == D
+        assert _mobius_in_qsqrt(g, _root_in_qsqrt(A, B), D) == _root_in_qsqrt(*form[:2])
+    # reduced forms are fixed points
+    for d in (-1, -3, -5, -15, -23, -26, -47, -71):
+        for form in reduced_forms(make_field(d)):
+            assert reduce_form(*form) == (form, (1, 0, 0, 1))
+    # on the boundary (B = -A, or A = C with B < 0) B turns nonnegative
+    assert reduce_form(2, -2, 3)[0] == (2, 2, 3)
+    assert reduce_form(3, -2, 3)[0] == (3, 2, 3)
+    assert not form_is_reduced(2, -2, 3) and not form_is_reduced(3, -2, 3)
+    with pytest.raises(UsageError):
+        reduce_form(1, 3, 1)
 
 
 def test_class_group_nontrivial_rep():
