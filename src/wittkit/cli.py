@@ -499,15 +499,11 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     return cfg
 
 
-def _compute_job(cfg: RunConfig, field: QuadField, job: str, get_vectors) -> dict:
+def _compute_job(cfg: RunConfig, field: QuadField, job: str, get_vector) -> dict:
     """One job's files: an unstamped payload per .json name, text for the rest.
 
-    get_vectors(families) gives each named family's vector.
+    get_vector() gives the config family's vector.
     """
-
-    def get_vector() -> witt.WittVector:
-        return get_vectors([cfg.family])[0]
-
     P = cfg.prime_norm_bound
     if job == "field":
         return {"field.json": field_info_payload(field, P)}
@@ -530,8 +526,7 @@ def _compute_job(cfg: RunConfig, field: QuadField, job: str, get_vectors) -> dic
     if job == "certify":
         return {"certify.json": algrec.certify_vector(get_vector(), dmax=cfg.dmax).to_json()}
     if job == "check":
-        vectors = get_vectors([fam.describe() for fam in modular.level_families(cfg.level)])
-        return {"check.json": modularity_check(field, cfg.level, cfg.bound, cfg.prec, vectors)}
+        return {"check.json": modularity_check(field, cfg.level, cfg.bound, cfg.prec)}
     raise UsageError(f"unknown job {job!r}")
 
 
@@ -603,10 +598,11 @@ def _cache_store(cache_dir: Path, key: str, files: dict) -> None:
         Path(tmp).unlink(missing_ok=True)
 
 
-# A modular vector's cache entry, one per (d, family, bound, prec): one JSON
-# file holding each component's exact bits, so a reloaded vector is the
-# computed one bit for bit (printed digits would drop the guard bits that
-# certify.json's residuals show).
+# The config vector's cache entry, one per (d, family, bound, prec), read by
+# the jobs that take the config's vector (the check job evaluates its own on
+# exact keys): one JSON file holding each component's exact bits, so a
+# reloaded vector is the computed one bit for bit (printed digits would drop
+# the guard bits that certify.json's residuals show).
 _VECTOR_FILE = "vector.bits.json"
 
 
@@ -634,14 +630,14 @@ def _mpc_from_bits(item):
     return mpmath.mp.make_mpc(tuple(parts))
 
 
-def _vector_key(cfg: RunConfig, family: str | None = None) -> str:
-    """The vector's own inputs, with the family (default: the config's) in canonical form.
+def _vector_key(cfg: RunConfig) -> str:
+    """The config vector's own inputs, with its family in canonical form.
 
     j and Fricke families are named by describe(), so "fricke:2/4,0" shares
     the entry of "fricke:1/2,0"; char: families by their stripped text, since
     describe() is not unique for those.
     """
-    text = (cfg.family if family is None else family).strip()
+    text = cfg.family.strip()
     name = text if text.startswith("char:") else parse_family(None, text).describe()
     return _sha256({"v": 1, "vector": {"d": cfg.d, "family": name, "bound": cfg.bound, "prec": cfg.prec}})
 
@@ -669,34 +665,26 @@ def run_pipeline(cfg: RunConfig) -> dict:
     canonical = cfg.canonical()
     cfg_hash = _sha256(canonical)
 
-    # "miss" once the cache lacked a vector a job asked for, "hit" while it held each one
+    # "hit" or "miss" once a job asked for the vector with a cache dir set
     vector_cache = None
-    vectors: dict[str, witt.WittVector] = {}
+    vector = None
 
-    def get_vectors(families: list[str]) -> list[witt.WittVector]:
-        """Each family's vector: from this run, else the cache, else summed, all
-        the missing families in one modular sweep."""
-        nonlocal vector_cache
-        keys = [_vector_key(cfg, family) for family in families]
-        missing = {}
-        for key, family in zip(keys, families):
-            if key in vectors:
-                continue
+    def get_vector() -> witt.WittVector:
+        """The config family's vector: from this run, else the cache, else summed."""
+        nonlocal vector, vector_cache
+        if vector is None:
+            key = _vector_key(cfg)
             files = _cache_load(cache_dir, key) if cache_dir else None
             if files is not None:
-                vectors[key] = _vector_from_entry(cache_dir / f"{key}.json", files, field, cfg)
-                vector_cache = vector_cache or "hit"
+                vector = _vector_from_entry(cache_dir / f"{key}.json", files, field, cfg)
+                vector_cache = "hit"
             else:
-                missing[key] = parse_family(field, family)
-        if missing:
-            summed = modular.family_vectors(list(missing.values()), field, cfg.bound, cfg.prec)
-            for key, xi in zip(missing, summed):
-                vectors[key] = xi
+                vector = modular.modular_vector(parse_family(field, cfg.family), field, cfg.bound, cfg.prec)
                 if cache_dir:
-                    bits = [_mpc_bits(xi.value_at(a)) for a in xi.ideals()]
+                    bits = [_mpc_bits(vector.value_at(a)) for a in vector.ideals()]
                     _cache_store(cache_dir, key, {_VECTOR_FILE: {"type": "json", "data": {"values": bits}}})
                     vector_cache = "miss"
-        return [vectors[key] for key in keys]
+        return vector
 
     hits, misses, failed = [], [], []
     artifacts: dict[str, list[str]] = {}
@@ -704,7 +692,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         key = _sha256({"v": 1, "job": job, "config": canonical})
         files = _cache_load(cache_dir, key) if cache_dir else None
         if files is None:
-            files = _stamp_files(cfg, cfg_hash, _compute_job(cfg, field, job, get_vectors))
+            files = _stamp_files(cfg, cfg_hash, _compute_job(cfg, field, job, get_vector))
             if cache_dir:
                 _cache_store(cache_dir, key, files)
             misses.append(job)

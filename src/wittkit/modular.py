@@ -23,7 +23,7 @@ in the chosen lattice basis, which cm_point builds and checks once per ideal
 (characteristic families read it mod N); the result is a Witt vector with
 big-complex components.  There are two paths from families to vectors.
 
-The desk check (modularity_check, with no vectors given) reads exact keys
+The desk check (modularity_check, in the CLI and pipeline) reads exact keys
 (_keyed_family_vectors).  Each ideal's CM point w1/w2 is an element of K on a
 primitive form of discriminant disc(K); Gauss reduction (qfield.reduce_form,
 class_group's convention) takes it to one of the h reduced forms by an exact
@@ -36,7 +36,7 @@ component value and its verdicts have a tolerance of 10^-(prec/3), so the
 last bits of a component do not reach it.
 
 Every other caller (modular_vector, level_family_vectors, the pipeline's
-vector and check jobs, and so every artifact) takes the per-ideal numeric
+vector-reading jobs, and so every stored vector) takes the per-ideal numeric
 path, family_vectors, because stored vectors print guard digits and those
 depend on each ideal's own numeric tau.  There the ideals a and n*a share a
 CM point, so the series (with its j, theta constants and Fricke components)
@@ -82,9 +82,9 @@ from .qfield import (
     IdealHNF,
     QuadElement,
     QuadField,
+    _ideal_from_int_pairs,
     ideal_add,
     ideal_inverse,
-    ideal_from_elements,
     primes_over_norm,
     principal_ideal,
     reduce_form,
@@ -485,28 +485,34 @@ def _int_div(num: int, den: int) -> int:
 
 def _cm_basis(a: IdealHNF):
     """(w1, w2, matrix): the basis of the inverse ideal behind a's CM point and
-    the exact integer matrix writing (omega, 1) in it, each checked."""
+    the exact integer matrix writing (omega, 1) in it, each checked.
+
+    The inverse is (1/den)*(Z*a' + Z*(b' + c'*omega)) in HNF, so w1 = (b' +
+    c'*omega)/den (it carries omega, so w1/w2 lies in the upper half plane)
+    and w2 = a'/den; the matrix and its checks are identities on these
+    integers.
+    """
     f = a.field
     if f.is_rational:
         raise UsageError("CM points exist only over imaginary quadratic fields")
     if not a.is_integral():
         raise UsageError("CM points are computed for integral ideals")
     inv = ideal_inverse(a)
-    v1, v2 = inv.basis()
-    w1, w2 = v2, v1  # v2 carries omega, so v2/v1 has positive imaginary part
-    if ideal_from_elements(f, [w1, w2]) != inv:
-        raise WittkitError("CM basis does not span the inverse ideal")
     ai, bi, ci, den = inv.a, inv.b, inv.c, inv.den
+    if _ideal_from_int_pairs(f, [(bi, ci), (ai, 0)], den) != inv:
+        raise WittkitError("CM basis does not span the inverse ideal")
     m11, m12 = _int_div(den, ci), -_int_div(den * bi, ci * ai)
-    m21, m22 = 0, _int_div(den, ai)
-    if w1.scale(m11) + w2.scale(m12) != f.omega():
+    m22 = _int_div(den, ai)
+    # row 1: m11*w1 + m12*w2 = omega; row 2: m22*w2 = 1
+    if m11 * bi + m12 * ai != 0 or m11 * ci != den:
         raise WittkitError("level matrix row 1 does not reproduce omega")
-    if w1.scale(m21) + w2.scale(m22) != f.one():
+    if m22 * ai != den:
         raise WittkitError("level matrix row 2 does not reproduce 1")
-    det = m11 * m22 - m12 * m21
-    if det != a.norm():
-        raise WittkitError(f"level matrix determinant {det} != N(a) = {a.norm()}")
-    return w1, w2, ((m11, m12), (m21, m22))
+    if m11 * m22 != a.norm():
+        raise WittkitError(f"level matrix determinant {m11 * m22} != N(a) = {a.norm()}")
+    w1 = QuadElement(f, Fraction(bi, den), Fraction(ci, den))
+    w2 = QuadElement(f, Fraction(ai, den), Fraction(0))
+    return w1, w2, ((m11, m12), (0, m22))
 
 
 def cm_point(a: IdealHNF, prec: int = DEFAULT_PREC) -> CmPoint:
@@ -935,28 +941,20 @@ def level_family_vectors(field: QuadField, N: int, bound: int, prec: int = DEFAU
 # The modularity desk check
 
 
-def modularity_check(field: QuadField, level: int, bound: int, prec: int, vectors=None) -> dict:
+def modularity_check(field: QuadField, level: int, bound: int, prec: int) -> dict:
     """Compare the shift partition of Xi(level) with ray classes mod level*O_K.
 
     Also verifies that each shift class has a constant gcd with level*O_K,
     and flags pairs whose verdict flips within one order of the tolerance.
-    `vectors`, when given, are the vectors of level_families(level) in that
-    order (say, read from a cache); otherwise they are evaluated on exact
-    CM-point keys (_keyed_family_vectors), one series per reduced form.
+    The vectors of level_families(level) are evaluated on exact CM-point
+    keys (_keyed_family_vectors), one series per reduced form.
     """
     if level < 1:
         raise UsageError(f"level must be >= 1, got {level}")
     if field.is_rational:
         raise UsageError("the desk check runs over imaginary quadratic fields")
     families = level_families(level)
-    if vectors is None:
-        vectors = _keyed_family_vectors(families, field, bound, prec)
-    if len(vectors) != len(families):
-        raise UsageError(f"the level-{level} check compares {len(families)} vectors, got {len(vectors)}")
-    domain = BigComplex(prec)
-    for fam, xi in zip(families, vectors):
-        if xi.field != field or xi.bound != bound or xi.domain != domain:
-            raise UsageError(f"the {fam.describe()} vector is not over d={field.d}, bound {bound}, {domain!r}")
+    vectors = _keyed_family_vectors(families, field, bound, prec)
     ideals = list(_ideals(field, bound))
     tol_digits = prec // 3
     with mpmath.workdps(prec + GUARD_DIGITS):

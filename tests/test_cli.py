@@ -710,8 +710,6 @@ def test_pipeline_jobs_run_alone_compute_the_vector_once(tmp_path, monkeypatch):
             job_now[0] = job
             cfg = cli.RunConfig(jobs=(job,), cache_dir=str(tmp_path / "cache"), **changes)
             cli.run_pipeline(cfg)
-        # the check job's level-N family vectors are its own and never cached
-        calls.pop("check", None)
         return calls
 
     assert run_each(out_dir=str(tmp_path / "alone")) == {"vector": 1}
@@ -753,62 +751,34 @@ def _counting_family_vectors(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("level", [1, 2])
-def test_pipeline_check_job_reads_its_family_vectors_through_the_cache(tmp_path, monkeypatch, level):
-    """Each default job alone with one shared cache dir: every family vector is summed once."""
-    calls = _counting_family_vectors(monkeypatch)
-    cache = str(tmp_path / "cache")
-
-    def run_each(**changes) -> dict:
-        by_job = {}
-        for job in cli.RunConfig().jobs:
-            _reset_module_caches()
-            calls.clear()
-            cfg = cli.RunConfig(jobs=(job,), cache_dir=cache, level=level, **_SMALL_CFG, **changes)
-            cli.run_pipeline(cfg)
-            if calls:
-                by_job[job] = list(calls)
-        return by_job
-
-    families = [fam.describe() for fam in modular.level_families(level)]
-    first = run_each(out_dir=str(tmp_path / "first"))
-    assert first.pop("vector") == ["j"]
-    assert first == ({} if level == 1 else {"check": families[1:]})
-    assert run_each(out_dir=str(tmp_path / "rerun"), dmax=6) == {}
-
-
 def test_vector_key_names_j_and_fricke_families_canonically():
     cfg = replace(cli.RunConfig(), **_SMALL_CFG)
+
+    def key(family):
+        return cli._vector_key(replace(cfg, family=family))
+
     # the keys of "j" and "fricke:1/2,0" are the raw strings, as before the canonical names
     for family in ("j", "fricke:1/2,0"):
-        raw = cli._sha256({"v": 1, "vector": {**_SMALL_CFG, "family": family}})
-        assert cli._vector_key(replace(cfg, family=family)) == raw
-        assert cli._vector_key(cfg, family) == raw
-    half = cli._vector_key(cfg, "fricke:1/2,0")
-    assert cli._vector_key(replace(cfg, family="fricke:2/4,0")) == half
-    assert cli._vector_key(cfg, " fricke:3/2,0 ") == half
-    assert cli._vector_key(cfg, "fricke:0,1/2") != half
+        assert key(family) == cli._sha256({"v": 1, "vector": {**_SMALL_CFG, "family": family}})
+    half = key("fricke:1/2,0")
+    assert key("fricke:2/4,0") == half
+    assert key(" fricke:3/2,0 ") == half
+    assert key("fricke:0,1/2") != half
     # char: families keep their stripped text, since describe() does not tell them apart
-    assert cli._vector_key(cfg, " char:1,1") == cli._vector_key(cfg, "char:1,1")
-    assert cli._vector_key(cfg, "char:1,1") != cli._vector_key(cfg, "char:2,1")
+    assert key(" char:1,1") == key("char:1,1")
+    assert key("char:1,1") != key("char:2,1")
 
 
-def test_pipeline_check_shares_a_fricke_entry_across_spellings(tmp_path, monkeypatch):
+def test_pipeline_jobs_share_a_fricke_entry_across_spellings(tmp_path, monkeypatch):
     calls = _counting_family_vectors(monkeypatch)
     _reset_module_caches()
-    cfg = cli.RunConfig(
-        jobs=("vector", "check"), level=2, family="fricke:2/4,0", out_dir=str(tmp_path), **_SMALL_CFG
-    )
-    summary = cli.run_pipeline(cfg)
-    assert summary["failed_checks"] == []
-    assert sorted(calls) == sorted(fam.describe() for fam in modular.level_families(2))
+    cache = str(tmp_path / "cache")
+    cfg = cli.RunConfig(jobs=("vector",), family="fricke:1/2,0", cache_dir=cache, out_dir=str(tmp_path), **_SMALL_CFG)
+    assert cli.run_pipeline(cfg)["vector_cache"] == "miss"
+    assert calls == ["fricke:1/2,0"]
     calls.clear()
     _reset_module_caches()
-    cached = replace(cfg, jobs=("check",), family="fricke:1/2,0", cache_dir=str(tmp_path / "cache"))
-    assert cli.run_pipeline(cached)["vector_cache"] == "miss"
-    calls.clear()
-    _reset_module_caches()
-    assert cli.run_pipeline(replace(cached, jobs=("vector",), family="fricke:2/4,0"))["vector_cache"] == "hit"
+    assert cli.run_pipeline(replace(cfg, family="fricke:2/4,0"))["vector_cache"] == "hit"
     assert calls == []
 
 
@@ -818,37 +788,52 @@ def _stamped_bytes(cfg: cli.RunConfig, payload: dict) -> bytes:
     return (json.dumps(entry["data"], sort_keys=True, indent=2) + "\n").encode()
 
 
+# (d, level, bound) at prec 60; (-3, 3, 40) fails the desk check on both paths
+_CHECK_GRID = [(d, level, 20) for d in (-5, -23, -1, -15, -3) for level in (1, 2)] + [(-3, 3, 40)]
+
+
+@pytest.mark.parametrize("d, level, bound", _CHECK_GRID)
+def test_pipeline_check_json_is_the_desk_checks_payload(capsys, tmp_path, d, level, bound):
+    """The check job writes what `wittkit check` computes for the same triple,
+    stamped as the pipeline stamps it, and both exit alike."""
+    triple = ["--d", str(d), "--level", str(level), "--bound", str(bound), "--prec", "60"]
+    _reset_module_caches()
+    code = cli.main(["check", *triple, "--out", str(tmp_path / "desk.json")])
+    capsys.readouterr()
+    (result,) = json.loads((tmp_path / "desk.json").read_text())["results"]
+    result.pop("params")
+    _reset_module_caches()
+    pipe_code, summary = run_cli(capsys, "pipeline", *triple, "--jobs", "check", "--out-dir", str(tmp_path / "out"))
+    failed = (d, level) == (-3, 3)
+    assert code == pipe_code == (1 if failed else 0)
+    assert summary["failed_checks"] == (["check.json:passed"] if failed else [])
+    cfg = cli.RunConfig(d=d, bound=bound, prec=60, level=level)
+    assert (tmp_path / "out" / "check.json").read_bytes() == _stamped_bytes(cfg, result)
+
+
 @pytest.mark.parametrize("level", [1, 2])
-@pytest.mark.parametrize("d", [-5, -23, -1, -15, -3])
-def test_pipeline_check_json_is_the_same_through_the_vector_cache(tmp_path, d, level):
-    base = cli.RunConfig(d=d, bound=20, prec=60, level=level, jobs=("check",))
-    cache = str(tmp_path / "cache")
-    _reset_module_caches()
-    fill = cli.run_pipeline(replace(base, out_dir=str(tmp_path / "fill"), cache_dir=cache, dmax=7))
-    assert fill["vector_cache"] == "miss"
-    # dmax is not read by the check: the job entry misses, every vector entry hits
-    _reset_module_caches()
-    warm = cli.run_pipeline(replace(base, out_dir=str(tmp_path / "warm"), cache_dir=cache))
-    assert warm["cache_misses"] == ["check"] and warm["vector_cache"] == "hit"
-    _reset_module_caches()
-    cli.run_pipeline(replace(base, out_dir=str(tmp_path / "uncached")))
-    _reset_module_caches()
-    direct = _stamped_bytes(base, modular.modularity_check(make_field(d), level, 20, 60))
-    assert (tmp_path / "warm" / "check.json").read_bytes() == direct
-    assert (tmp_path / "uncached" / "check.json").read_bytes() == direct
+def test_pipeline_check_job_sums_one_series_per_form_and_writes_no_vector_entry(tmp_path, monkeypatch, level):
+    summed = []
+    real = modular._eis_series
 
+    def counting(t):
+        summed.append(t)
+        return real(t)
 
-def test_pipeline_exits_1_on_a_failed_check_through_the_vector_cache(capsys, tmp_path, monkeypatch):
-    argv = ["pipeline", "--d", "-5", "--bound", "12", "--prec", "60", "--level", "2", "--jobs", "check"]
-    argv += ["--cache-dir", str(tmp_path / "cache")]
-    real = cli.modularity_check
-    monkeypatch.setattr(cli, "modularity_check", lambda *a: {**real(*a), "passed": False})
-    code, cold = run_cli(capsys, *argv, "--dmax", "7", "--out-dir", str(tmp_path / "cold"))
-    assert code == 1 and cold["vector_cache"] == "miss"
-    assert cold["failed_checks"] == ["check.json:passed"]
-    code, cached = run_cli(capsys, *argv, "--out-dir", str(tmp_path / "cached"))
-    assert code == 1 and cached["cache_misses"] == ["check"] and cached["vector_cache"] == "hit"
-    assert cached["failed_checks"] == ["check.json:passed"]
+    def no_fork():
+        raise AssertionError("the check job forked")
+
+    monkeypatch.setattr(modular, "_eis_series", counting)
+    monkeypatch.setattr(os, "fork", no_fork)
+    _reset_module_caches()
+    cache = tmp_path / "cache"
+    cfg = cli.RunConfig(jobs=("check",), level=level, cache_dir=str(cache), out_dir=str(tmp_path / "out"), **_SMALL_CFG)
+    summary = cli.run_pipeline(cfg)
+    assert summary["vector_cache"] is None and summary["failed_checks"] == []
+    assert len(summed) == 2  # d = -5 has the reduced forms (1, 0, 5) and (2, 2, 3)
+    job_key = cli._sha256({"v": 1, "job": "check", "config": cfg.canonical()})
+    assert [p.name for p in cache.iterdir()] == [f"{job_key}.json"]
+    _reset_module_caches()
 
 
 def _mpf_tuples():
@@ -872,38 +857,3 @@ def test_mpc_bits_round_trip_j_vectors(d):
     for a in xi.ideals():
         z = xi.value_at(a)
         assert cli._mpc_from_bits(json.loads(json.dumps(cli._mpc_bits(z))))._mpc_ == z._mpc_
-
-
-def _cached_components() -> int:
-    return sum(1 + (ser.j is not None) + len(ser.fricke) for ser in modular._SERIES_CACHE.values())
-
-
-def test_pipeline_check_job_sums_the_families_it_lacks_in_one_sweep(tmp_path, monkeypatch):
-    """A cold level-2 check job (the j vector cached by the vector job) sums its
-    three Fricke families in one sweep, and no other."""
-    cache = str(tmp_path / "cache")
-    cli.run_pipeline(cli.RunConfig(jobs=("vector",), cache_dir=cache, out_dir=str(tmp_path / "v"), **_SMALL_CFG))
-    _reset_module_caches()
-    sweeps = []
-    real = modular._evaluate_missing
-
-    def recording(points, indices, k, prec):
-        before = _cached_components()
-        real(points, indices, k, prec)
-        sweeps.append((len(indices), _cached_components() - before))
-
-    monkeypatch.setattr(modular, "_evaluate_missing", recording)
-    cfg = cli.RunConfig(jobs=("check",), cache_dir=cache, level=2, out_dir=str(tmp_path / "check"), **_SMALL_CFG)
-    summary = cli.run_pipeline(cfg)
-    assert summary["vector_cache"] == "miss" and summary["failed_checks"] == []
-    assert len(sweeps) == 1
-    assert sweeps[0][0] == 3 and sweeps[0][1] > 0
-
-    # check.json holds what the desk check computes from per-family vectors
-    _reset_module_caches()
-    field = make_field(_SMALL_CFG["d"])
-    bound, prec = _SMALL_CFG["bound"], _SMALL_CFG["prec"]
-    vectors = [modular.modular_vector(fam, field, bound, prec) for fam in modular.level_families(2)]
-    expect = cli.modularity_check(field, 2, bound, prec, vectors)
-    written = json.loads((tmp_path / "check" / "check.json").read_text())
-    assert {name: written[name] for name in expect} == expect

@@ -1132,22 +1132,6 @@ def test_level_2_components_agree_across_precisions(d):
                 assert abs(x - eta.value_at(b)) <= tol * (1 + abs(x))
 
 
-@pytest.mark.parametrize(
-    "wrong",
-    [
-        lambda vs: vs[:-1],  # one family short
-        lambda vs: [*vs, vs[0]],  # one too many
-        lambda vs: [],
-        lambda vs: [*vs[:-1], modular_vector(level_families(2)[-1], K5, 12, 40)],  # another precision
-        lambda vs: [*vs[:-1], modular_vector(level_families(2)[-1], K5, 10, 60)],  # another bound
-        lambda vs: [*vs[:-1], modular_vector(level_families(2)[-1], K1, 12, 60)],  # another field
-    ],
-)
-def test_modularity_check_rejects_vectors_that_are_not_its_own(wrong):
-    with pytest.raises(UsageError):
-        modularity_check(K5, 2, 12, 60, wrong(level_family_vectors(K5, 2, 12, 60)))
-
-
 @pytest.mark.parametrize("d", [-1, -3, -5])
 def test_modularity_check_verdicts_agree_across_precisions(d):
     K = make_field(d)
@@ -1236,8 +1220,59 @@ def test_keyed_components_match_the_per_ideal_numeric_path(d, N, bound):
             assert read.setdefault(_component_key(b, family, prec), value) is value, (family, b)
     # and keys that differ read values evaluated apart
     assert len({id(v) for v in read.values()}) == len(read)
-    assert modularity_check(K, N, bound, prec) == modularity_check(K, N, bound, prec, numeric)
+    keyed_payload = modularity_check(K, N, bound, prec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modular, "_keyed_family_vectors", modular.family_vectors)
+        assert modularity_check(K, N, bound, prec) == keyed_payload
     modular.clear_caches()
+
+
+def _fraction_cm_basis(a: IdealHNF):
+    """The CM basis in QuadElement arithmetic: the inverse's basis() with the
+    omega-carrying element first, the matrix solved from omega = m11*w1 +
+    m12*w2 and 1 = m22*w2 in Q, every identity checked on elements of K.
+    The oracle of modular._cm_basis, which reads it off the HNF integers."""
+    f = a.field
+    inv = ideal_inverse(a)
+    v1, v2 = inv.basis()
+    w1, w2 = v2, v1
+    assert ideal_from_elements(f, [w1, w2]) == inv
+    m11 = 1 / w1.y
+    m12 = -m11 * w1.x / w2.x
+    m22 = 1 / w2.x
+    assert all(m.denominator == 1 for m in (m11, m12, m22))
+    assert w1.scale(m11) + w2.scale(m12) == f.omega()
+    assert w2.scale(m22) == f.one()
+    assert m11 * m22 == a.norm()
+    return w1, w2, ((int(m11), int(m12)), (0, int(m22)))
+
+
+_SMALL_D = [-1, -2, -3, -5, -6, -7, -10, -11, -13, -14, -15, -17, -19, -21, -22, -23, -26, -31]
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from(_SMALL_D), data=st.data())
+def test_integer_cm_basis_matches_the_fraction_oracle(d, data):
+    ideals = enumerate_ideals(make_field(d), 200)
+    for b in data.draw(st.lists(st.sampled_from(ideals), min_size=1, max_size=8)):
+        assert modular._cm_basis(b) == _fraction_cm_basis(b), b
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda a, inv: a,  # the ideal itself
+        lambda a, inv: ideal_mul(inv, principal_ideal(QuadElement(a.field, Fraction(1, 2), Fraction(0)))),
+        lambda a, inv: ideal_mul(inv, principal_ideal(QuadElement(a.field, Fraction(2), Fraction(0)))),
+    ],
+)
+def test_cm_basis_rejects_a_wrong_inverse_with_a_wittkit_error(tamper, monkeypatch):
+    real = modular.ideal_inverse
+    monkeypatch.setattr(modular, "ideal_inverse", lambda a: tamper(a, real(a)))
+    for d in (-1, -3, -5, -15):
+        for b in enumerate_ideals(make_field(d), 30)[1:]:
+            with pytest.raises(WittkitError):
+                modular._cm_basis(b)
 
 
 @pytest.mark.parametrize("d", [-1, -3, -5, -6, -15, -23])
