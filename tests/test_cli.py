@@ -788,6 +788,34 @@ def _stamped_bytes(cfg: cli.RunConfig, payload: dict) -> bytes:
     return (json.dumps(entry["data"], sort_keys=True, indent=2) + "\n").encode()
 
 
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("d", [-5, -23, -1, -15, -3])
+def test_pipeline_check_json_is_the_same_through_the_vector_cache(tmp_path, d, level):
+    """check.json does not depend on what the cache dir holds: beside the vector
+    job that fills the vector entry, check-only on that dir (job entry missed,
+    then hit) and uncached, it is the desk check's payload, stamped."""
+    base = cli.RunConfig(d=d, bound=20, prec=60, level=level, jobs=("check",))
+    cache = str(tmp_path / "cache")
+    _reset_module_caches()
+    both = replace(base, jobs=("vector", "check"), dmax=7)
+    fill = cli.run_pipeline(replace(both, out_dir=str(tmp_path / "fill"), cache_dir=cache))
+    assert fill["vector_cache"] == "miss"
+    # dmax is not read by the check, but it keys the job entry: the first check-only run misses it
+    _reset_module_caches()
+    warm = cli.run_pipeline(replace(base, out_dir=str(tmp_path / "warm"), cache_dir=cache))
+    assert warm["cache_misses"] == ["check"] and warm["vector_cache"] is None
+    _reset_module_caches()
+    hit = cli.run_pipeline(replace(base, out_dir=str(tmp_path / "hit"), cache_dir=cache))
+    assert hit["cache_hits"] == ["check"] and hit["vector_cache"] is None
+    _reset_module_caches()
+    cli.run_pipeline(replace(base, out_dir=str(tmp_path / "uncached")))
+    _reset_module_caches()
+    payload = modular.modularity_check(make_field(d), level, 20, 60)
+    assert (tmp_path / "fill" / "check.json").read_bytes() == _stamped_bytes(both, payload)
+    for run in ("warm", "hit", "uncached"):
+        assert (tmp_path / run / "check.json").read_bytes() == _stamped_bytes(base, payload), run
+
+
 # (d, level, bound) at prec 60; (-3, 3, 40) fails the desk check on both paths
 _CHECK_GRID = [(d, level, 20) for d in (-5, -23, -1, -15, -3) for level in (1, 2)] + [(-3, 3, 40)]
 
