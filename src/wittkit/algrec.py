@@ -257,6 +257,7 @@ class ClassPolyReport:
 
 def class_polynomial(d: int, prec: int = 120) -> ClassPolyReport:
     """prod over ideal classes (X - j(a^-1)), rounded and certified (< 0.01)."""
+    BigComplex(prec)  # refuses a precision too low to certify anything
     field = make_field(d)
     if field.is_rational:
         raise UsageError("class polynomials need an imaginary quadratic field")

@@ -21,43 +21,40 @@ M2(Z/N)) is evaluated at every integral ideal a of norm <= B by pairing the
 CM point tau of the inverse ideal with the exact matrix expressing (omega, 1)
 in the chosen lattice basis, which cm_point builds and checks once per ideal
 (characteristic families read it mod N); the result is a Witt vector with
-big-complex components.  There are two paths from families to vectors.
+big-complex components.  One evaluator does this on two kinds of key,
+which differ only in how each ideal's point is built.
 
-The desk check (modularity_check, in the CLI and pipeline) reads exact keys
-(_keyed_family_vectors).  Each ideal's CM point w1/w2 is an element of K on a
-primitive form of discriminant disc(K); Gauss reduction (qfield.reduce_form,
-class_group's convention) takes it to one of the h reduced forms by an exact
-g in SL2(Z).  j is keyed by the form, a Fricke component by the form and
-the index carried along the CM matrix and g^-1, up to sign; one series is
-summed per form, at tau = (-B + sqrt(D))/(2A) computed from integers, and
-ideals with one key read one value object.  A desk pass over the three
-standard triples sums 4 series, in one process.  Its payload prints no
-component value and its verdicts have a tolerance of 10^-(prec/3), so the
-last bits of a component do not reach it.
+Numeric keys (family_vectors, so modular_vector, level_family_vectors and
+every stored vector) are each ideal's numeric tau bits and precision:
+stored vectors print guard digits, which depend on that tau, and it
+depends on the basis of the inverse ideal, not only on the point, so a key
+by the element w1/w2 of K would let one ideal decide another's digits.
 
-Every other caller (modular_vector, level_family_vectors, the pipeline's
-vector-reading jobs, and so every stored vector) takes the per-ideal numeric
-path, family_vectors, because stored vectors print guard digits and those
-depend on each ideal's own numeric tau.  There the ideals a and n*a share a
-CM point, so the series (with its j, theta constants and Fricke components)
-is summed once per distinct numeric tau and precision, keyed by tau's bits:
-the numeric tau depends on the basis of the inverse ideal, not only on the
-point, so keying by the element w1/w2 of K would let the first ideal
-enumerated decide another's guard digits.  family_vectors carries each
-family's index along each CM point once, evaluates everything the families
-lack at each distinct tau (the series, the checked j, each Fricke index)
-across the CPUs in the process's affinity mask, share i of n taking the
-pending points i, i+n, i+2n, ..., and reads the vectors off in family and
-then ideal order.  The process takes one share and forked children the
-others; each child evaluates its share with the same code and pickles back
-its series whole, theta constants included, so the cache holds what one
-process would have computed.  There is no option; one CPU (taskset -c 0),
-no fork, a second live thread or fewer than 2*_MIN_SHARE pending points
-mean one process.  What a failed child leaves is evaluated in the read-off,
-so every error is raised by in-process code, in family and then ideal
-order.  The public eisenstein, j_invariant and fricke sum a fresh series on
-every call and serve as the uncached oracle; family_vectors is in turn the
-oracle of the keyed path.
+Exact keys (_keyed_family_vectors, read by the desk check modularity_check
+in the CLI and pipeline) are reduced forms.  Each CM point w1/w2 is an
+element of K on a primitive form of discriminant disc(K); Gauss reduction
+(qfield.reduce_form, class_group's convention) takes it to one of the h
+reduced forms by an exact g in SL2(Z), whose root (-B + sqrt(D))/(2A) is
+computed from integers.  A Fricke index is carried along the CM matrix and
+g^-1 and folded under +-1, so ideals with one key read one value object.
+The desk payload prints no component and its verdicts have a tolerance of
+10^-(prec/3), so the last bits of a component do not reach it.
+
+The read-off (_read_off) refuses a bad precision before any series is
+summed.  It then evaluates what the families lack at each key (the series
+with its j, theta constants and Fricke components) across the CPUs in the
+process's affinity mask, share i of n taking the pending keys i, i+n, ...,
+and reads the vectors off in family and then ideal order.  The process
+takes one share and forked children the others; each child evaluates its
+share with the same code and pickles back its series whole, theta
+constants included, so the cache holds what one process would have
+computed.  There is no option; one CPU (taskset -c 0), no fork, a second
+live thread or fewer than 2*_MIN_SHARE pending keys mean one process, so
+the default desk triples (at most 2 forms each, 4 series) never fork.
+What a failed child leaves is evaluated in the read-off, so every error is
+raised in-process, in family and then ideal order.  The public eisenstein,
+j_invariant and fricke sum a fresh series on every call and serve as the
+uncached oracle; family_vectors is in turn the oracle of exact keys.
 
 The modularity desk check (modularity_check) partitions the ideals of norm
 <= B by shift equality of the level-N family vectors and compares that
@@ -205,9 +202,9 @@ def _eis_series(t):
 class _Series:
     """tau reduced by g = (p, q, r, s), the working dps, and the series there.
 
-    A pure function of tau's bits and prec, so CM vectors share one per
-    distinct (tau, prec) (see _component), or per (form, prec) on exact keys
-    (_form_series).  `j` is filled on first request,
+    A pure function of tau's bits and prec, so CM vectors share one per key
+    (_series_at): per distinct (tau, prec) on the numeric path, per
+    (form, prec) on exact keys.  `j` is filled on first request,
     after the Delta and j cross-checks, and `theta` on the first Fricke
     request.  `fricke` maps (index, power) to the Fricke component there
     and `prefactor` maps a power k to its factor g2*g3/Delta, g2^2/Delta or
@@ -460,11 +457,9 @@ class CmPoint:
     """tau = w1/w2 for a basis (w1, w2) of the inverse ideal, and the exact
     integer matrix writing (omega, 1) in that basis (det = N(a))."""
 
-    ideal: IdealHNF
     w1: QuadElement
     w2: QuadElement
     tau: object
-    prec: int
     matrix: tuple[tuple[int, int], tuple[int, int]]
 
 
@@ -525,7 +520,7 @@ def cm_point(a: IdealHNF, prec: int = DEFAULT_PREC) -> CmPoint:
         tau = qelem_numeric(w1) / qelem_numeric(w2)
         if not tau.imag > 0:
             raise WittkitError("CM point landed outside the upper half plane")
-    pt = CmPoint(a, w1, w2, tau, prec, matrix)
+    pt = CmPoint(w1, w2, tau, matrix)
     _CM_CACHE[key] = pt
     return pt
 
@@ -670,22 +665,19 @@ def char_family_from_ideal(a: IdealHNF) -> CharFamily:
 # Components at distinct CM points, evaluated across CPUs
 
 
-def _component(tau, a, k: int, prec: int):
-    """What a family reads at a CM point's tau: the checked j for a = (0, 0),
-    else the Fricke component at index a and power k.
+def _series_at(key, tau, prec: int) -> _Series:
+    """The series at tau, summed once per key into _SERIES_CACHE.
 
-    The series is summed once per distinct (tau, prec), each component once
-    per series, index and power.  The key is what _series reads, tau's bits
-    and prec, not the element w1/w2 of K: for d = -1 the ideals (5,2,1,1)
-    and (15,6,3,1) both have tau = 3/5 + i/5, but the numeric tau of the
-    second differs in the last bit, so its components must not reuse the
-    first one's series.
+    The key is (tau's bits, prec) on the numeric path and (form, prec) on
+    exact keys.  Numeric keys are what _series reads, not the element w1/w2
+    of K: for d = -1 the ideals (5,2,1,1) and (15,6,3,1) both have tau =
+    3/5 + i/5, but the numeric tau of the second differs in the last bit,
+    so its components must not reuse the first one's series.
     """
-    key = (tau._mpc_, prec)
     ser = _SERIES_CACHE.get(key)
     if ser is None:
         ser = _SERIES_CACHE[key] = _series(tau, prec)
-    return _read_component(ser, a, k, prec)
+    return ser
 
 
 def _read_component(ser: _Series, a, k: int, prec: int):
@@ -725,10 +717,10 @@ def _evaluate_share(share, k: int, prec: int) -> None:
     missing again, in family and ideal order, so it surfaces exactly as a
     serial sweep raises it.
     """
-    for _, (tau, indices) in share:
+    for key, (tau, indices) in share:
         try:
             for a in indices:
-                _component(tau, a, k, prec)
+                _read_component(_series_at(key, tau, prec), a, k, prec)
         except Exception:  # re-raised by the caller's in-order pass
             return
 
@@ -747,10 +739,11 @@ def _evaluate_in_child(share, k: int, prec: int, fd: int):
         os._exit(status)
 
 
-def _evaluate_missing(points: list[CmPoint], indices: list[list], k: int, prec: int) -> None:
+def _evaluate_missing(points: list[tuple], indices: list[list], k: int, prec: int) -> None:
     """Fill _SERIES_CACHE with every series, j and Fricke component that the
-    families' `indices` (per family, per point: (0, 0) for j, a transported
-    Fricke index, or None) ask for and it lacks, across CPUs.
+    families' `indices` (per family, per ideal: (0, 0) for j, a carried
+    Fricke index, or None) ask for at the ideals' (key, tau) `points` and
+    it lacks, across CPUs.
 
     Share 0 is evaluated here, each other share in a forked child that
     pickles back its series whole, theta constants included.  The payload is
@@ -763,14 +756,13 @@ def _evaluate_missing(points: list[CmPoint], indices: list[list], k: int, prec: 
     """
     lacking = {}  # key -> (tau, indices the cache lacks, in first-asked order)
     for family_indices in indices:
-        for pt, a in zip(points, family_indices):
+        for (key, tau), a in zip(points, family_indices):
             if a is None:
                 continue
-            key = (pt.tau._mpc_, prec)
             ser = _SERIES_CACHE.get(key)
             if ser is not None and (ser.j if a == (0, 0) else ser.fricke.get((a, k))) is not None:
                 continue
-            asked = lacking.setdefault(key, (pt.tau, []))[1]
+            asked = lacking.setdefault(key, (tau, []))[1]
             if a not in asked:
                 asked.append(a)
     shares = _striped_shares(list(lacking.items()))
@@ -815,7 +807,8 @@ def _evaluate_missing(points: list[CmPoint], indices: list[list], k: int, prec: 
 
 
 def _j_component(a: IdealHNF, prec: int):
-    return _component(cm_point(a, prec).tau, (0, 0), 0, prec)
+    tau = cm_point(a, prec).tau
+    return _checked_j(_series_at((tau._mpc_, prec), tau, prec), prec)
 
 
 def _family_indices(family, matrices) -> list:
@@ -841,80 +834,82 @@ def _family_indices(family, matrices) -> list:
     raise UsageError(f"unknown deformation family {family!r}")
 
 
-def family_vectors(families: list, field: QuadField, bound: int, prec: int) -> list[WittVector]:
-    """Evaluate each family at every integral ideal of norm <= bound.
+def _read_off(
+    families: list, field: QuadField, bound: int, prec: int, points: list, matrices: list, indices: list
+) -> list[WittVector]:
+    """The families' vectors at the ideals of norm <= bound, given each ideal's
+    (key, tau) point and exact CM matrix and each family's `indices` there.
 
-    Each family's index is carried along each CM point once, and every j and
-    Fricke component the families read and the caches lack is evaluated once
-    per distinct CM point, across CPUs (_evaluate_missing).  The vectors are
-    then read off in family and ideal order, evaluating here whatever is
-    still missing, so an error is the one a serial sweep raises first.
+    The precision is refused before any series is summed.  Then every j and
+    Fricke component the families read and the caches lack is evaluated
+    once per key, across CPUs (_evaluate_missing), and the vectors are read
+    off in family and then ideal order, evaluating here whatever is still
+    missing, so an error is the one a serial sweep raises first.  A
+    characteristic family reads the CM matrix mod N.
     """
-    if field.is_rational:
-        raise UsageError("modular vectors live over imaginary quadratic fields")
-    k = fricke_power(field.d)
-    ideals = _ideals(field, bound)
-    points = [cm_point(b, prec) for b in ideals]
-    matrices = [pt.matrix for pt in points]
-    indices = [_family_indices(fam, matrices) for fam in families]
-    _evaluate_missing(points, indices, k, prec)
     domain = BigComplex(prec)
+    k = fricke_power(field.d)
+    _evaluate_missing(points, indices, k, prec)
     vectors = []
     for family, family_indices in zip(families, indices):
         values = {}
-        for b, pt, a in zip(ideals, points, family_indices):
+        for b, (key, tau), matrix, a in zip(_ideals(field, bound), points, matrices, family_indices):
             if a is None:
-                entries = tuple(tuple(m % family.N for m in row) for row in pt.matrix)
+                entries = tuple(tuple(m % family.N for m in row) for row in matrix)
                 with mpmath.workdps(prec + GUARD_DIGITS):
                     values[b] = mpmath.mpc(1 if entries in family.S else 0)
             else:
-                values[b] = _component(pt.tau, a, k, prec)
+                values[b] = _read_component(_series_at(key, tau, prec), a, k, prec)
         vectors.append(WittVector(field, domain, bound, values=values))
     return vectors
 
 
-def _form_series(form, prec: int) -> _Series:
-    """The series at a reduced form's root tau = (-B + sqrt(D))/(2A), tau computed
-    from the integers, summed once per (form, prec) into _SERIES_CACHE."""
-    key = (form, prec)
-    ser = _SERIES_CACHE.get(key)
-    if ser is None:
-        A, B, C = form
-        with mpmath.workdps(prec + GUARD_DIGITS):
-            tau = mpmath.mpc(-B, mpmath.sqrt(4 * A * C - B * B)) / (2 * A)
-        ser = _SERIES_CACHE[key] = _series(tau, prec)
-    return ser
+def family_vectors(families: list, field: QuadField, bound: int, prec: int) -> list[WittVector]:
+    """Evaluate each family at every integral ideal of norm <= bound, at each
+    ideal's own numeric CM point.
 
-
-def _keyed_family_vectors(families: list, field: QuadField, bound: int, prec: int) -> list[WittVector]:
-    """family_vectors for j and Fricke families on exact CM-point keys: one
-    series per reduced form.
-
-    Each ideal's CM point is reduced exactly (_cm_form); its j is keyed by the
-    form and a Fricke component by the form and the family's index carried
-    along the CM matrix and g^-1, folded under +-1 (wp is even).  Ideals with
-    one key read one value object.  The extra units of d = -1 and -3 are not
-    folded.  Nothing is forked, and values are read off in family and then
-    ideal order, so an error is the first one that order meets.
+    Each point is keyed by its tau's bits and each family's index carried
+    along its CM matrix once; _read_off does the rest.
     """
     if field.is_rational:
         raise UsageError("modular vectors live over imaginary quadratic fields")
-    k = fricke_power(field.d)
-    ideals = _ideals(field, bound)
-    keyed = [_cm_form(b) for b in ideals]
+    pts = [cm_point(b, prec) for b in _ideals(field, bound)]
+    matrices = [pt.matrix for pt in pts]
+    points = [((pt.tau._mpc_, prec), pt.tau) for pt in pts]
+    indices = [_family_indices(fam, matrices) for fam in families]
+    return _read_off(families, field, bound, prec, points, matrices, indices)
+
+
+def _keyed_family_vectors(families: list, field: QuadField, bound: int, prec: int) -> list[WittVector]:
+    """family_vectors on exact CM-point keys: one series per reduced form.
+
+    Each ideal's CM point is reduced exactly (_cm_form) and keyed by its form,
+    whose root tau = (-B + sqrt(D))/(2A) is computed from the integers.  j
+    reads the form's series, and a Fricke component reads it at the
+    family's index carried along the CM matrix and g^-1, folded under +-1
+    (wp is even); ideals with one key read one value object.  The extra
+    units of d = -1 and -3 are not folded.  A characteristic family (rho^a
+    of char_family_from_ideal, say) reads each ideal's exact CM matrix mod
+    N, as on the numeric path.  The read-off is family_vectors'.
+    """
+    if field.is_rational:
+        raise UsageError("modular vectors live over imaginary quadratic fields")
+    keyed = [_cm_form(b) for b in _ideals(field, bound)]
+    with mpmath.workdps(prec + GUARD_DIGITS):
+        roots = {
+            (A, B, C): mpmath.mpc(-B, mpmath.sqrt(4 * A * C - B * B)) / (2 * A)
+            for A, B, C in {form for _, form, _ in keyed}
+        }
+    points = [((form, prec), roots[form]) for _, form, _ in keyed]
     # the index of tau_b is a*matrix, that of the form's root a*matrix*g^-1
     carried = [_mat_mul2(m, ((s, -q), (-r, p))) for m, _, (p, q, r, s) in keyed]
-    domain = BigComplex(prec)
-    vectors = []
+    indices = []
     for family in families:
-        indices = _family_indices(family, carried)
-        folded = {a: min(a, _transport(a, ((-1, 0), (0, -1)))) for a in set(indices)}
-        values = {
-            b: _read_component(_form_series(form, prec), folded[a], k, prec)
-            for b, (_, form, _), a in zip(ideals, keyed, indices)
-        }
-        vectors.append(WittVector(field, domain, bound, values=values))
-    return vectors
+        family_indices = _family_indices(family, carried)
+        # a characteristic family's None is not an index: .get leaves it None
+        folded = {a: min(a, _transport(a, ((-1, 0), (0, -1)))) for a in set(family_indices) - {None}}
+        indices.append([folded.get(a) for a in family_indices])
+    return _read_off(families, field, bound, prec, points, [m for m, _, _ in keyed], indices)
 
 
 def modular_vector(family, field: QuadField, bound: int, prec: int = DEFAULT_PREC) -> WittVector:

@@ -205,6 +205,15 @@ def test_class_polynomial_d5():
             assert abs(jv * jv - 1264000 * jv - 681472000) < mpmath.mpf(10) ** -80
 
 
+@pytest.mark.parametrize("prec", [-20, 0, 9])
+def test_class_polynomial_refuses_a_precision_below_the_floor(prec):
+    """At prec -20 the j values came out wrong and still rounded to integers
+    within 0.01, so X^2 - 262144*X - 8388608 was certified as H_-20."""
+    with pytest.raises(UsageError, match=f"precision {prec} is too low to certify anything"):
+        class_polynomial(-5, prec)
+    assert class_polynomial(-5, 10).poly.coeffs == (-681472000, -1264000, 1)
+
+
 def test_class_polynomial_d15():
     rep = class_polynomial(-15)
     assert rep.poly.coeffs == (-121287375, 191025, 1)

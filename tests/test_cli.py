@@ -228,6 +228,14 @@ def test_classpoly_cmd(capsys):
     assert data["poly"]["coeffs"] == [-121287375, 191025, 1]
 
 
+def test_classpoly_cmd_refuses_a_precision_below_the_floor(capsys):
+    code = cli.main(["algrec", "classpoly", "--d", "-5", "--prec", "-20"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert not captured.out
+    assert "precision -20 is too low to certify anything" in captured.err
+
+
 def test_check_cmd(capsys):
     code, data = run_cli(
         capsys, "check", "--d", "-1", "--level", "2", "--bound", "30", "--prec", "120"

@@ -1322,6 +1322,70 @@ def test_default_desk_check_sums_one_series_per_form_and_never_forks(tmp_path, m
     modular.clear_caches()
 
 
+@pytest.mark.parametrize("d", [-1, -3, -5, -15])
+def test_keyed_characteristic_families_equal_the_numeric_char_vectors(d):
+    """A characteristic family on exact keys reads each ideal's exact CM matrix
+    mod N, beside a j family in the same sweep, and gives family_vectors'
+    vector bit for bit."""
+    K = make_field(d)
+    prec, bound = 30, 40
+    ideals = [b for b in enumerate_ideals(K, 9) if b.norm() > 1][:3]
+    assert len(ideals) == 3
+    modular.clear_caches()
+    j_alone = modular._keyed_family_vectors([JFamily()], K, bound, prec)[0]
+    for a in ideals:
+        family = char_family_from_ideal(a)
+        keyed, j_beside = modular._keyed_family_vectors([family, JFamily()], K, bound, prec)
+        numeric = modular.family_vectors([family], K, bound, prec)[0]
+        assert keyed.ideals() == numeric.ideals()
+        got = [keyed.value_at(b)._mpc_ for b in keyed.ideals()]
+        assert got == [numeric.value_at(b)._mpc_ for b in keyed.ideals()]
+        assert all(j_beside.value_at(b) is j_alone.value_at(b) for b in j_alone.ideals())
+    modular.clear_caches()
+
+
+def test_keyed_forms_are_shared_across_processes_as_numeric_points_are(monkeypatch):
+    """Exact keys take the numeric keys' fork rule: d = -95 has 8 reduced
+    forms, two shares of four, and the forked sweep gives one process's bits."""
+    K, prec, bound = make_field(-95), 60, 40
+    families = level_families(2)
+    _force_shares(monkeypatch, 1)
+    modular.clear_caches()
+    serial = _family_components(modular._keyed_family_vectors(families, K, bound, prec))
+    assert len(modular._SERIES_CACHE) == 8
+    forks = _counting_forks(monkeypatch)
+    _force_shares(monkeypatch, 3)
+    modular.clear_caches()
+    shared = _family_components(modular._keyed_family_vectors(families, K, bound, prec))
+    assert len(forks) == 1
+    assert shared == serial
+    modular.clear_caches()
+
+
+@pytest.mark.parametrize(
+    "evaluate", [modular.family_vectors, modular._keyed_family_vectors], ids=["numeric", "keyed"]
+)
+def test_a_precision_too_low_is_refused_before_any_series_or_fork(evaluate, monkeypatch):
+    summed = []
+    real = modular._eis_series
+
+    def counting(t):
+        summed.append(t)
+        return real(t)
+
+    def no_fork():
+        raise AssertionError("forked before the precision was checked")
+
+    monkeypatch.setattr(modular, "_eis_series", counting)
+    monkeypatch.setattr(modular.os, "fork", no_fork)
+    _force_shares(monkeypatch, 3)
+    modular.clear_caches()
+    with pytest.raises(UsageError, match="precision 5 is too low to certify anything"):
+        evaluate(level_families(2), K5, 40, 5)
+    assert summed == []
+    modular.clear_caches()
+
+
 _OLD_LM_CACHE: dict = {}
 
 
