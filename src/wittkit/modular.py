@@ -40,15 +40,15 @@ g^-1 and folded under +-1, so ideals with one key read one value object.
 The desk payload prints no component and its verdicts have a tolerance of
 10^-(prec/3), so the last bits of a component do not reach it.
 
-The read-off (_read_off) refuses a bad precision before any series is
-summed.  It then evaluates what the families lack at each key (the series
-with its j, theta constants and Fricke components) across the CPUs in the
-process's affinity mask, share i of n taking the pending keys i, i+n, ...,
-and reads the vectors off in family and then ideal order.  The process
-takes one share and forked children the others; each child evaluates its
-share with the same code and pickles back its series whole, theta
-constants included, so the cache holds what one process would have
-computed.  There is no option; one CPU (taskset -c 0), no fork, a second
+Both point builders refuse a bad precision (BigComplex) before any CM
+point is built or form reduced.  The read-off (_read_off) evaluates what
+the families lack at each key (the series with its j, theta constants and
+Fricke components) across the CPUs in the process's affinity mask, share i
+of n taking the pending keys i, i+n, ..., and reads the vectors off in
+family and then ideal order.  The process takes one share and forked
+children the others; each child evaluates its share with the same code
+and pickles back its series whole, theta constants included, so the
+cache holds what one process would have computed.  There is no option; one CPU (taskset -c 0), no fork, a second
 live thread or fewer than 2*_MIN_SHARE pending keys mean one process, so
 the default desk triples (at most 2 forms each, 4 series) never fork.
 What a failed child leaves is evaluated in the read-off, so every error is
@@ -835,19 +835,19 @@ def _family_indices(family, matrices) -> list:
 
 
 def _read_off(
-    families: list, field: QuadField, bound: int, prec: int, points: list, matrices: list, indices: list
+    families: list, field: QuadField, bound: int, domain: BigComplex, points: list, matrices: list, indices: list
 ) -> list[WittVector]:
-    """The families' vectors at the ideals of norm <= bound, given each ideal's
-    (key, tau) point and exact CM matrix and each family's `indices` there.
+    """The families' vectors in domain at the ideals of norm <= bound, given
+    each ideal's (key, tau) point and exact CM matrix and each family's
+    `indices` there.
 
-    The precision is refused before any series is summed.  Then every j and
-    Fricke component the families read and the caches lack is evaluated
-    once per key, across CPUs (_evaluate_missing), and the vectors are read
-    off in family and then ideal order, evaluating here whatever is still
-    missing, so an error is the one a serial sweep raises first.  A
-    characteristic family reads the CM matrix mod N.
+    Every j and Fricke component the families read and the caches lack is
+    evaluated once per key, across CPUs (_evaluate_missing), and the
+    vectors are read off in family and then ideal order, evaluating here
+    whatever is still missing, so an error is the one a serial sweep raises
+    first.  A characteristic family reads the CM matrix mod N.
     """
-    domain = BigComplex(prec)
+    prec = domain.prec
     k = fricke_power(field.d)
     _evaluate_missing(points, indices, k, prec)
     vectors = []
@@ -869,15 +869,17 @@ def family_vectors(families: list, field: QuadField, bound: int, prec: int) -> l
     ideal's own numeric CM point.
 
     Each point is keyed by its tau's bits and each family's index carried
-    along its CM matrix once; _read_off does the rest.
+    along its CM matrix once; _read_off does the rest.  The precision is
+    refused (BigComplex) before any CM point is built.
     """
     if field.is_rational:
         raise UsageError("modular vectors live over imaginary quadratic fields")
+    domain = BigComplex(prec)
     pts = [cm_point(b, prec) for b in _ideals(field, bound)]
     matrices = [pt.matrix for pt in pts]
     points = [((pt.tau._mpc_, prec), pt.tau) for pt in pts]
     indices = [_family_indices(fam, matrices) for fam in families]
-    return _read_off(families, field, bound, prec, points, matrices, indices)
+    return _read_off(families, field, bound, domain, points, matrices, indices)
 
 
 def _keyed_family_vectors(families: list, field: QuadField, bound: int, prec: int) -> list[WittVector]:
@@ -890,10 +892,12 @@ def _keyed_family_vectors(families: list, field: QuadField, bound: int, prec: in
     (wp is even); ideals with one key read one value object.  The extra
     units of d = -1 and -3 are not folded.  A characteristic family (rho^a
     of char_family_from_ideal, say) reads each ideal's exact CM matrix mod
-    N, as on the numeric path.  The read-off is family_vectors'.
+    N, as on the numeric path.  The read-off is family_vectors', and the
+    precision is refused, as there, before any form is reduced.
     """
     if field.is_rational:
         raise UsageError("modular vectors live over imaginary quadratic fields")
+    domain = BigComplex(prec)
     keyed = [_cm_form(b) for b in _ideals(field, bound)]
     with mpmath.workdps(prec + GUARD_DIGITS):
         roots = {
@@ -909,7 +913,7 @@ def _keyed_family_vectors(families: list, field: QuadField, bound: int, prec: in
         # a characteristic family's None is not an index: .get leaves it None
         folded = {a: min(a, _transport(a, ((-1, 0), (0, -1)))) for a in set(family_indices) - {None}}
         indices.append([folded.get(a) for a in family_indices])
-    return _read_off(families, field, bound, prec, points, [m for m, _, _ in keyed], indices)
+    return _read_off(families, field, bound, domain, points, [m for m, _, _ in keyed], indices)
 
 
 def modular_vector(family, field: QuadField, bound: int, prec: int = DEFAULT_PREC) -> WittVector:

@@ -236,7 +236,7 @@ def _hnf2(gens: list[tuple[int, int]]) -> tuple[int, int, int]:
 class IdealHNF:
     """Fractional ideal (1/den) * (Z*a + Z*(b + c*omega)), canonicalized."""
 
-    __slots__ = ("field", "a", "b", "c", "den")
+    __slots__ = ("field", "a", "b", "c", "den", "_hash")
 
     def __init__(self, field: QuadField, a: int, b: int, c: int, den: int = 1):
         if den <= 0 or a <= 0:
@@ -258,6 +258,8 @@ class IdealHNF:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "den", den)
+        # shift scans hash ideals thousands of times per pass
+        object.__setattr__(self, "_hash", hash((field.d, a, b, c, den)))
 
     def __setattr__(self, *_):
         raise AttributeError("IdealHNF is immutable")
@@ -266,10 +268,12 @@ class IdealHNF:
         return (self.a, self.b, self.c, self.den)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return isinstance(other, IdealHNF) and self.field.d == other.field.d and self.key() == other.key()
 
     def __hash__(self) -> int:
-        return hash((self.field.d,) + self.key())
+        return self._hash
 
     def __repr__(self) -> str:
         body = f"({self.a},{self.b},{self.c})"

@@ -32,6 +32,8 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
 
+import mpmath
+
 from .cyclotomic import (
     ExactCyclotomic,
     _accumulate,
@@ -46,6 +48,7 @@ from .domains import domain_from_json
 from .errors import (
     BoundExhaustedError,
     InsufficientBoundError,
+    PrecisionError,
     UsageError,
     WittkitError,
     require_int,
@@ -799,9 +802,18 @@ def _shift_gap(vectors, a: IdealHNF, b: IdealHNF, products: dict, cap):
     domain cannot show from binades that it is below the largest one so far
     (BigComplex.gap_unless_below): such a gap, being below cap too, changes
     neither the stop nor the maximum.
+
+    A pair holding one value object twice (x is y, as ideals sharing an
+    exact CM-point key do) is skipped unmeasured, which changes no result
+    for a positive or nan cap: a finite x has gap exactly 0, below every
+    positive cap and never above the largest gap so far, and an infinite or
+    nan x has gap nan, which no `g >= cap` stops on and max(worst, nan)
+    leaves at worst.
     """
     worst = 0
     for dom, x, y in _shift_pairs(vectors, a, b, products):
+        if x is y:
+            continue
         g = dom.gap_unless_below(x, y, worst)
         if g is None:
             continue
@@ -1003,6 +1015,16 @@ def _float_signature(vectors, a: IdealHNF) -> list[float] | None:
     return sig if all(map(math.isfinite, sig)) else None
 
 
+def _require_finite(vectors) -> None:
+    """PrecisionError at the first component, within its vector's bound, with
+    a nan or infinite part: its gaps would be nan, which reads as below any
+    cap, so a scan would join classes through it."""
+    for n, xi in enumerate(vectors):
+        for a in xi.ideals():
+            if not mpmath.isfinite(xi.value_at(a)):
+                raise PrecisionError(f"vector {n} ({xi!r}) is not finite at {ideal_label(a)}")
+
+
 def _floats_apart(s: list[float], t: list[float], slack: float) -> bool:
     return any(abs(x - y) > slack + (abs(x) + abs(y)) * 2.0**-50 for x, y in zip(s, t))
 
@@ -1016,7 +1038,9 @@ def shift_partitions(
     so each pair needs one gap scan, capped at loose, or at tol once the pair
     already shares a loose class; a pair sharing a tol class is skipped.  The
     vectors' domains must measure gaps (BigComplex.gap_unless_below), and
-    each vector must hold a value at every ideal within its bound.
+    each vector must hold a finite value at every ideal within its bound:
+    a nan or infinite part raises PrecisionError before any pair is
+    compared (_require_finite).
 
     A pair (a, b) whose float signatures (_float_signature) differ in some
     coordinate by |x - y| > 2*float(loose) + (|x| + |y|)*2^-50 + 2^-1000 is
@@ -1029,14 +1053,17 @@ def shift_partitions(
     itself.  The scan would therefore have found a gap >= loose and joined
     neither partition; the union-find components and their
     first-appearance labels are unchanged.  A pair with a missing
-    signature (a norm above some bound, or a coordinate inf or nan) is
-    scanned as before, so BoundExhaustedError is raised at the same pair.
+    signature (a norm above some bound, or a finite coordinate whose
+    float() overflows) is scanned as before, so BoundExhaustedError is
+    raised at the same pair.
     The skip reads floats because they are still the cheapest exact test,
     though BigComplex.below no longer takes a square root: on each of the
-    three desk triples at prec 120 (2 vCPUs, Python 3.11, mpmath 1.3.0 on
-    its Python backend) this pass took 8-24 ms, the same skip by
-    BigComplex.below at c = O_K 11-49 ms, and no skip at all 14-101 ms.
+    three desk triples at prec 120, on their exact-key vectors (2 vCPUs,
+    Python 3.11, mpmath 1.3.0 on its Python backend, median of 15 passes),
+    this pass took 2.9-6.3 ms, the same skip by BigComplex.below at c = O_K
+    3.7-27 ms, and no skip at all 5.7-24 ms.
     """
+    _require_finite(vectors)
     n = len(ideals)
     strict, wide = _UnionFind(n), _UnionFind(n)
     products: dict = {}

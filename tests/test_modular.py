@@ -1386,6 +1386,33 @@ def test_a_precision_too_low_is_refused_before_any_series_or_fork(evaluate, monk
     modular.clear_caches()
 
 
+@pytest.mark.parametrize(
+    "evaluate", [modular.family_vectors, modular._keyed_family_vectors], ids=["numeric", "keyed"]
+)
+def test_a_precision_too_low_is_refused_before_any_cm_point(evaluate, monkeypatch):
+    """Neither builder reduces a form, builds a CM basis or caches a point at
+    a precision the domain refuses."""
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(modular, name)
+
+        def wrapper(a):
+            calls[name] += 1
+            return real(a)
+
+        monkeypatch.setattr(modular, name, wrapper)
+
+    counting("_cm_form")
+    counting("_cm_basis")
+    modular.clear_caches()
+    with pytest.raises(UsageError, match="precision 5 is too low to certify anything"):
+        evaluate([JFamily()], K5, 40, 5)
+    assert modular._CM_CACHE == {}
+    assert calls == Counter()
+    modular.clear_caches()
+
+
 _OLD_LM_CACHE: dict = {}
 
 

@@ -340,3 +340,44 @@ def test_json_roundtrip():
     assert ideal_from_json(K5, p.to_json()) == p
     assert p.to_json() == {"a": 6, "b": 3, "c": 3, "den": 2}
     assert make_field(-5).to_json() == {"d": -5}
+
+
+def test_ideal_hash_is_the_hash_of_its_field_and_key():
+    """The hash kept from __init__ is the tuple hash it replaced, so set and
+    dict orders of ideals do not move."""
+    for field in (Q, K1, K3, K5, K15):
+        for p in enumerate_ideals(field, 30):
+            assert hash(p) == hash((field.d,) + p.key())
+    p = IdealHNF(K5, 6, 3, 3, 2)
+    assert hash(p) == hash((-5,) + p.key())
+
+
+def test_ideals_built_three_ways_are_equal_and_hash_equal():
+    rng = random.Random(28)
+    for field in (Q, K1, K5, K15):
+        pool = enumerate_ideals(field, 40)
+        for _ in range(60):
+            r = ideal_mul(rng.choice(pool), ideal_inverse(rng.choice(pool)))
+            ways = [r, IdealHNF(field, r.a, r.b, r.c, r.den), ideal_from_json(field, r.to_json())]
+            for x in ways:
+                for y in ways:
+                    assert x == y and not x != y and hash(x) == hash(y)
+
+
+def test_one_hnf_key_in_two_fields_gives_unequal_ideals():
+    units = [unit_ideal(f) for f in (Q, K1, K3, K5, K15)]
+    pairs = [(p, q) for p in units for q in units if p is not q]
+    pairs.append((IdealHNF(K1, 2, 1, 1), IdealHNF(K5, 2, 1, 1)))
+    for p, q in pairs:
+        assert p.key() == q.key()
+        assert p != q and not p == q
+    assert len(set(units)) == len(units)
+
+
+def test_ideals_stay_immutable_with_a_kept_hash():
+    p = IdealHNF(K5, 2, 1, 1)
+    before = hash(p)
+    for name in ("field", "a", "b", "c", "den", "_hash", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 3)
+    assert hash(p) == before and p.key() == (2, 1, 1, 1)

@@ -9,9 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittkit import domains, witt
+from wittkit import cli, domains, witt
 from wittkit.domains import BigComplex
-from wittkit.modular import JFamily, clear_caches, level_family_vectors, modular_vector
+from wittkit.modular import (
+    JFamily,
+    _keyed_family_vectors,
+    clear_caches,
+    level_families,
+    level_family_vectors,
+    modular_vector,
+    modularity_check,
+)
 from wittkit.qfield import enumerate_ideals, ideal_mul, make_field
 from wittkit.witt import WittVector, component_report, orbit_monoid
 
@@ -190,8 +198,47 @@ def test_shift_gap_keeps_the_old_loops_bits_on_level_families(d):
     clear_caches()
 
 
+@pytest.mark.parametrize("d", [-1, -2, -3, -5, -15, -23])
+def test_shift_gap_keeps_the_old_loops_bits_on_keyed_level_families(d):
+    """Exact-key vectors share one value object between ideals of one key,
+    the pairs _shift_gap skips unmeasured; the old loop measures them."""
+    field = make_field(d)
+    bound = 24
+    ideals = enumerate_ideals(field, bound)
+    clear_caches()
+    for prec in (60, 120):
+        for N in (1, 2, 3):
+            vectors = _keyed_family_vectors(level_families(N), field, bound, prec)
+            products: dict = {}
+            for cap in _desk_tolerances(prec):
+                for i, a in enumerate(ideals):
+                    for b in ideals[i + 1 :]:
+                        want = _old_shift_gap(vectors, a, b, cap)
+                        assert _bits(witt._shift_gap(vectors, a, b, products, cap)) == _bits(want), (prec, N, cap, a, b)
+    clear_caches()
+
+
 # ---------------------------------------------------------------------------
 # Work counts: a fall back to the square root fails here
+
+
+def test_a_default_desk_pass_measures_at_most_95_gaps(monkeypatch):
+    """The three desk triples compare 840 component pairs in their shift
+    scans; 745 of them hold one value object twice and are not measured."""
+    calls = []
+    real = BigComplex.gap_unless_below
+
+    def counting(self, x, y, floor):
+        calls.append((x, y))
+        return real(self, x, y, floor)
+
+    monkeypatch.setattr(BigComplex, "gap_unless_below", counting)
+    clear_caches()
+    for d, level, bound in cli.DESK_CHECK_TRIPLES:
+        assert modularity_check(make_field(d), level, bound, 120)["passed"]
+    assert 0 < len(calls) <= 95
+    assert all(x is not y for x, y in calls)
+    clear_caches()
 
 
 def test_orbit_and_components_of_the_j_vector_take_no_square_root(monkeypatch):

@@ -12,8 +12,16 @@ from hypothesis import strategies as st
 from wittkit import algrec, witt
 from wittkit.cyclotomic import cyclo_context
 from wittkit.domains import BigComplex, ExactCyclotomic, ExactNumberField, domain_from_json
-from wittkit.errors import BoundExhaustedError, UsageError, WittkitError
-from wittkit.modular import FrickeFamily, JFamily, clear_caches, level_family_vectors, modular_vector
+from wittkit.errors import BoundExhaustedError, PrecisionError, UsageError, WittkitError
+from wittkit.modular import (
+    FrickeFamily,
+    JFamily,
+    _keyed_family_vectors,
+    clear_caches,
+    level_families,
+    level_family_vectors,
+    modular_vector,
+)
 from wittkit.qfield import IdealHNF, enumerate_ideals, ideal_mul, make_field, prime_ideals, unit_ideal
 from wittkit.witt import (
     WittVector,
@@ -490,6 +498,43 @@ def test_pruned_shift_partitions_match_unpruned_on_level_families(d):
             expect = _unpruned_shift_partitions(vectors, ideals, tol, loose)
             assert shift_partitions(vectors, ideals, tol, loose) == expect, (prec, N)
     clear_caches()
+
+
+@pytest.mark.parametrize("d", [-1, -2, -3, -5, -15, -23])
+def test_shift_partitions_on_keyed_vectors_match_the_pairwise_oracle(d):
+    """On exact-key vectors, where ideals of one key share one value object,
+    the partitions that skip such pairs are the oracle's, which measures
+    every pair (domain.gap)."""
+    field = make_field(d)
+    ideals = enumerate_ideals(field, 24)
+    clear_caches()
+    for prec in (60, 120):
+        tol, loose = _desk_tolerances(prec)
+        for N in (1, 2, 3):
+            vectors = _keyed_family_vectors(level_families(N), field, 24, prec)
+            strict, wide = shift_partitions(vectors, ideals, tol, loose)
+            assert strict == _pairwise_partition(vectors, ideals, tol), (prec, N)
+            assert wide == _pairwise_partition(vectors, ideals, loose), (prec, N)
+    clear_caches()
+
+
+@pytest.mark.parametrize(
+    "bad", ["nan", "inf", (1, "nan"), ("-inf", 0)], ids=["nan", "inf", "imag_nan", "real_minus_inf"]
+)
+def test_shift_partitions_refuse_a_non_finite_component(bad):
+    """A nan gap is not >= any cap, so a scan through it would join 1 and 7."""
+    domain = BigComplex(_GAP_PREC)
+    ideals = enumerate_ideals(Q, 6)
+    values = {a: mpmath.mpc(1) for a in ideals}
+    values[ideals[4]] = mpmath.mpc(*bad) if isinstance(bad, tuple) else mpmath.mpc(bad)
+    values[ideals[5]] = mpmath.mpc(7)
+    xi = WittVector(Q, domain, 6, values=values)
+    tol, _ = _desk_tolerances(_GAP_PREC)
+    with pytest.raises(PrecisionError, match=r"vector 0 .* is not finite at \(5\)"):
+        shift_partitions([xi], ideals[3:], tol, 10 * tol)
+    values[ideals[4]] = mpmath.mpc(1)
+    xi = WittVector(Q, domain, 6, values=values)
+    assert shift_partitions([xi], ideals[3:], tol, 10 * tol) == ([0, 0, 1], [0, 0, 1])
 
 
 def _count_shift_gaps(monkeypatch) -> Counter:
