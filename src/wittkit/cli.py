@@ -133,8 +133,13 @@ def stamp(payload: dict, *, bound=None, primes=None, depth=None, prec=None) -> d
     return out
 
 
+def _render_json(payload) -> str:
+    """A report as wittkit writes it: sorted keys, two-space indent, a final newline."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = _render_json(payload)
     if out:
         Path(out).write_text(text)
     else:
@@ -462,6 +467,11 @@ class RunConfig:
         unknown = [j for j in self.jobs if j not in _ALL_JOBS]
         if unknown:
             raise UsageError(f"unknown jobs: {', '.join(unknown)}")
+        if not self.jobs:
+            raise UsageError("jobs must name at least one job")
+        repeated = sorted({j for j in self.jobs if self.jobs.count(j) > 1})
+        if repeated:
+            raise UsageError(f"repeated jobs: {', '.join(repeated)}")
 
     def canonical(self) -> dict:
         """The knobs that affect artifact contents: all but the jobs and paths."""
@@ -531,10 +541,13 @@ def _compute_job(cfg: RunConfig, field: QuadField, job: str, get_vector) -> dict
 
 
 def _stamp_files(cfg: RunConfig, cfg_hash: str, files: dict) -> dict:
-    """Cache entries for one job's files; every JSON payload gets params and the config hash.
+    """File entries for one job's files; every JSON payload gets params and the config hash.
 
-    params.bound is the payload's own bound where it reports one (drf's
-    enumeration bound), else the config's.
+    A payload becomes {"type": "json", "data": <stamped payload>}, other
+    files {"type": "text", "data": <str>}; _text_files renders the payloads
+    before run_pipeline stores and writes them.  params.bound is the
+    payload's own bound where it reports one (drf's enumeration bound), else
+    the config's.
     """
     out = {}
     for name, data in files.items():
@@ -553,12 +566,49 @@ def _stamp_files(cfg: RunConfig, cfg_hash: str, files: dict) -> dict:
     return out
 
 
+def _text_files(files: dict) -> dict:
+    """The same files with each JSON payload rendered as the text written out."""
+    return {
+        name: entry if entry["type"] == "text" else {"type": "text", "data": _render_json(entry["data"])}
+        for name, entry in files.items()
+    }
+
+
+def _failed_flags(path: Path | None, files: dict) -> list[str]:
+    """The false verdict flags of a job's .json artifacts, read from their text.
+
+    A .json artifact whose text is not a JSON object can only come from the
+    cache entry at path, which is then reported as poisoned.
+    """
+    failed = []
+    for name in sorted(files):
+        if not name.endswith(".json"):
+            continue
+        try:
+            data = json.loads(files[name]["data"])
+        except ValueError:
+            data = None
+        if not isinstance(data, dict):
+            raise UsageError(f"cache entry {path} holds a malformed file; delete the poisoned file")
+        failed += [f"{name}:{f}" for f in _VERDICT_FLAGS if data.get(f) is False]
+    return failed
+
+
 def _cache_load(cache_dir: Path, key: str):
+    """The checked files of the entry for key, or None when the cache lacks it.
+
+    Job entries hold each artifact's rendered text; entries written before
+    that, and the vector's bits entry, hold {"type": "json"} payloads.  An
+    entry that is not JSON, fails its checksum or holds a malformed file is
+    a UsageError naming the file to delete.
+    """
     path = cache_dir / f"{key}.json"
-    if not path.exists():
+    try:
+        raw = path.read_bytes()
+    except FileNotFoundError:
         return None
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(raw)
     except (json.JSONDecodeError, UnicodeDecodeError):
         raise UsageError(f"cache entry {path} is not valid JSON; delete the poisoned file") from None
     files = data.get("files") if isinstance(data, dict) else None
@@ -570,8 +620,9 @@ def _cache_load(cache_dir: Path, key: str):
 
 
 def _is_file_entry(name: str, entry) -> bool:
-    """A bare file name mapped to {"type": "json", "data": <object>} or
-    {"type": "text", "data": <str>}, as _stamp_files writes them."""
+    """A bare file name mapped to {"type": "text", "data": <str>} or
+    {"type": "json", "data": <object>}: the vector's bits, or a report in an
+    entry written before reports were stored as text."""
     if Path(name).name != name or name in ("", ".", ".."):
         return False
     if not isinstance(entry, dict) or entry.keys() != {"type", "data"}:
@@ -581,6 +632,10 @@ def _is_file_entry(name: str, entry) -> bool:
 
 
 def _cache_store(cache_dir: Path, key: str, files: dict) -> None:
+    """Write the entry for key: the files with their checksum, as compact canonical JSON.
+
+    A reader sees the old entry or the whole new one, never a torn write.
+    """
     cache_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "schema": "wittkit/cache/1",
@@ -588,11 +643,10 @@ def _cache_store(cache_dir: Path, key: str, files: dict) -> None:
         "files_sha256": _sha256(files),
         "files": files,
     }
-    # a reader sees the old entry or the whole new one, never a torn write
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=f".{key}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        with os.fdopen(fd, "wb") as f:
+            f.write(_canonical_bytes(payload) + b"\n")
         os.replace(tmp, cache_dir / f"{key}.json")
     finally:
         Path(tmp).unlink(missing_ok=True)
@@ -690,23 +744,21 @@ def run_pipeline(cfg: RunConfig) -> dict:
     artifacts: dict[str, list[str]] = {}
     for job in cfg.jobs:
         key = _sha256({"v": 1, "job": job, "config": canonical})
+        entry_path = cache_dir / f"{key}.json" if cache_dir else None
         files = _cache_load(cache_dir, key) if cache_dir else None
         if files is None:
-            files = _stamp_files(cfg, cfg_hash, _compute_job(cfg, field, job, get_vector))
+            files = _text_files(_stamp_files(cfg, cfg_hash, _compute_job(cfg, field, job, get_vector)))
             if cache_dir:
                 _cache_store(cache_dir, key, files)
             misses.append(job)
         else:
+            files = _text_files(files)  # an older entry holds its reports as payloads
             hits.append(job)
+        failed += _failed_flags(entry_path, files)
         paths = []
         for rel in sorted(files):
-            entry = files[rel]
             path = out_root / rel
-            if entry["type"] == "json":
-                path.write_text(json.dumps(entry["data"], sort_keys=True, indent=2) + "\n")
-                failed += [f"{rel}:{f}" for f in _VERDICT_FLAGS if entry["data"].get(f) is False]
-            else:
-                path.write_text(entry["data"])
+            path.write_text(files[rel]["data"])
             paths.append(str(path))
         artifacts[job] = paths
     return {

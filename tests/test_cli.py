@@ -381,6 +381,35 @@ def test_pipeline_config_with_string_bound_exits_2(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize("jobs, named", [("field,field", "field"), ("vector,field,vector,field", "field, vector")])
+@pytest.mark.parametrize("cached", [False, True])
+def test_pipeline_repeated_jobs_exit_2_naming_them(capsys, tmp_path, jobs, named, cached):
+    argv = ["pipeline", "--jobs", jobs, "--out-dir", str(tmp_path / "out")]
+    argv += ["--cache-dir", str(tmp_path / "cache")] if cached else []
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert err == f"error: repeated jobs: {named}\n"
+    assert not (tmp_path / "out").exists() and not (tmp_path / "cache").exists()
+
+
+def test_pipeline_empty_jobs_option_exits_2(capsys, tmp_path):
+    for jobs in ("", " , "):
+        code = cli.main(["pipeline", "--jobs", jobs, "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: jobs must name at least one job\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_pipeline_config_with_an_empty_job_list_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"jobs": [], "out_dir": str(tmp_path / "out")}))
+    code = cli.main(["pipeline", "--config", str(cfg)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: jobs must name at least one job\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_pipeline_config_with_integer_jobs_exits_2(capsys, tmp_path):
     cfg = _write_spec(tmp_path, "cfg.json", {"d": -5, "jobs": 5})
     _run_expecting_usage_error(
@@ -452,6 +481,26 @@ def test_pipeline_cache_entry_with_malformed_file_exits_2(capsys, tmp_path, file
     data["files_sha256"] = cli._sha256(files)
     entry.write_text(json.dumps(data))
     _run_expecting_usage_error(capsys, *argv)
+
+
+@pytest.mark.parametrize("text", ["text", "[]", "5\n", "{", ""])
+def test_pipeline_cache_entry_with_a_json_artifact_that_is_not_an_object_exits_2(capsys, tmp_path, text):
+    """A .json artifact's stored text with a matching checksum must still be a
+    JSON object: its verdict flags are read from it."""
+    out = tmp_path / "out"
+    argv = ["pipeline", "--jobs", "field", "--out-dir", str(out), "--cache-dir", str(tmp_path / "cache")]
+    assert run_cli(capsys, *argv)[0] == 0
+    (out / "field.json").unlink()
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    data = json.loads(entry.read_text())
+    data["files"] = {"field.json": {"type": "text", "data": text}}
+    data["files_sha256"] = cli._sha256(data["files"])
+    entry.write_text(json.dumps(data))
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert str(entry) in err and "delete the poisoned file" in err
+    assert not (out / "field.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -744,6 +793,76 @@ def test_a_job_reading_its_vector_from_the_cache_does_no_cm_work(tmp_path, monke
     summary = cli.run_pipeline(replace(cfg, jobs=("orbit",), out_dir=str(tmp_path / "o")))
     assert summary["vector_cache"] == "hit" and summary["cache_misses"] == ["orbit"]
     assert calls == []
+
+
+@pytest.mark.parametrize("d", [-5, -1, -3, -15])
+def test_pipeline_warm_run_writes_the_cold_runs_bytes(tmp_path, d):
+    """Every default job's artifacts from its cache entry equal the computed ones
+    byte for byte, and so do the failed checks read from their text."""
+    cfg = replace(cli.RunConfig(), **{**_SMALL_CFG, "d": d}, cache_dir=str(tmp_path / "cache"))
+    _reset_module_caches()
+    cold = cli.run_pipeline(replace(cfg, out_dir=str(tmp_path / "cold")))
+    _reset_module_caches()
+    warm = cli.run_pipeline(replace(cfg, out_dir=str(tmp_path / "warm")))
+    assert cold["cache_misses"] == warm["cache_hits"] == list(cfg.jobs)
+    assert warm["failed_checks"] == cold["failed_checks"]
+    names = sorted(p.name for p in (tmp_path / "cold").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "warm").iterdir())
+    for name in names:
+        assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes(), name
+
+
+def test_pipeline_job_entries_hold_text_and_the_vector_entry_its_bits(tmp_path):
+    cfg = cli.RunConfig(jobs=("vector", "check"), cache_dir=str(tmp_path / "cache"), out_dir=str(tmp_path / "out"), **_SMALL_CFG)
+    _reset_module_caches()
+    cli.run_pipeline(cfg)
+    vector_key = cli._vector_key(cfg)
+    for entry in (tmp_path / "cache").iterdir():
+        files = json.loads(entry.read_text())["files"]
+        if entry.stem == vector_key:
+            assert list(files) == [cli._VECTOR_FILE] and files[cli._VECTOR_FILE]["type"] == "json"
+            continue
+        for name, file in files.items():
+            assert file["type"] == "text"
+            assert file["data"] == (tmp_path / "out" / name).read_text()
+
+
+def _store_as_payload_dicts(entry: Path) -> None:
+    """Rewrite a job entry in the older format: each .json artifact as a
+    {"type": "json"} payload, the whole entry indented."""
+    data = json.loads(entry.read_text())
+    files = {
+        name: {"type": "json", "data": json.loads(file["data"])} if name.endswith(".json") else file
+        for name, file in data["files"].items()
+    }
+    data["files"], data["files_sha256"] = files, cli._sha256(files)
+    entry.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
+
+
+def test_pipeline_reads_an_entry_holding_payload_dicts(tmp_path, monkeypatch):
+    """Entries written before artifacts were stored as text write the same
+    bytes and report the same failed checks."""
+    real = cli.modularity_check
+    monkeypatch.setattr(cli, "modularity_check", lambda *a: {**real(*a), "passed": False})
+    cache = tmp_path / "cache"
+    cfg = cli.RunConfig(jobs=("field", "vector", "check"), cache_dir=str(cache), **_SMALL_CFG)
+    _reset_module_caches()
+    cold = cli.run_pipeline(replace(cfg, out_dir=str(tmp_path / "cold")))
+    assert cold["failed_checks"] == ["check.json:passed"]
+    monkeypatch.undo()
+    vector_key = cli._vector_key(cfg)
+    job_entries = [e for e in cache.iterdir() if e.stem != vector_key]
+    assert len(job_entries) == 3
+    for entry in job_entries:
+        _store_as_payload_dicts(entry)
+    _reset_module_caches()
+    warm = cli.run_pipeline(replace(cfg, out_dir=str(tmp_path / "warm")))
+    assert warm["cache_hits"] == list(cfg.jobs) and warm["failed_checks"] == cold["failed_checks"]
+    names = sorted(p.name for p in (tmp_path / "cold").iterdir())
+    assert names == ["check.json", "field.json", "vector.csv", "vector.json"]
+    assert names == sorted(p.name for p in (tmp_path / "warm").iterdir())
+    for name in names:
+        assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes(), name
 
 
 def _counting_family_vectors(monkeypatch) -> list:
